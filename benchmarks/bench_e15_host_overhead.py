@@ -11,6 +11,9 @@ replay, with outputs and simulated stats bit-identical.
 Runnable directly as a perf-smoke gate (used by CI)::
 
     python benchmarks/bench_e15_host_overhead.py --quick
+
+A ``--quick`` run saves ``e15_host_overhead.quick.{json,txt}``, so it
+never overwrites the full run's artifact that EXPERIMENTS.md quotes.
 """
 
 import sys
@@ -71,8 +74,8 @@ def main(argv=None) -> int:
                                    repeats=3)
     else:
         result = e15_host_overhead(args.device)
-    print_and_save("e15_host_overhead", result,
-                   format_host_overhead(result))
+    name = "e15_host_overhead.quick" if args.quick else "e15_host_overhead"
+    print_and_save(name, result, format_host_overhead(result))
 
     if args.quick or args.check:
         aggregate = result["aggregate"]

@@ -23,19 +23,19 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ..core.codegen.kernels import compile_group
-from ..core.fusion.kinds import FusionConfig, FusionKind
+from ..core.fusion.kinds import FusionConfig
 from ..core.fusion.planner import plan_fusion
 from ..core.symbolic import ConstraintLevel, analyze_shapes
 from ..device.compilecost import compile_cost_us
-from ..device.cost import kernel_time_us
 from ..device.counters import RunStats
 from ..device.profiles import DeviceProfile
 from ..ir.graph import Graph
-from ..numerics.resolve import bind_inputs, resolve_all_dims
 from ..passes import (AlgebraicSimplify, CommonSubexpressionElimination,
                       ConstantFold, DeadCodeElimination, LowerComposites,
                       PassManager, PlaceShapeComputations)
-from ..runtime.caches import ShapeSpecializationCache, shape_signature
+from ..runtime.caches import shape_signature
+from ..runtime.engine import EngineOptions, charge_kernel
+from ..runtime.hostprog import lower_program
 from .base import Executor
 
 __all__ = ["BaselineSpec", "SimulatedBaseline", "pow2_bucket"]
@@ -117,7 +117,13 @@ class SimulatedBaseline(Executor):
             node: node.attrs["value"].astype(node.dtype.to_numpy(),
                                              copy=False)
             for node in working.nodes if node.op == "constant"}
-        self.cache = ShapeSpecializationCache()
+        self.program = lower_program(working, self.kernels, self.constants)
+        # The shared charge reads its kernel quality from engine options;
+        # baselines always charge host-placed ops as host work.
+        self._charge_options = EngineOptions(
+            base_efficiency=spec.base_efficiency)
+        #: cache keys of every compile charged so far.
+        self._compiled: set = set()
         self._compiled_once = False
 
     # -- serving ----------------------------------------------------------
@@ -126,32 +132,27 @@ class SimulatedBaseline(Executor):
             ) -> tuple[list, RunStats]:
         spec = self.spec
         stats = RunStats(cache_hit=True)
-        dims = bind_inputs(self.working.params, inputs)
-        resolve_all_dims(self.working.nodes, dims)
+        dims = self.program.bind(inputs)
+        cost_dims = self._cost_dims(dims)
 
-        self._charge_compilation(inputs, self._cost_dims(dims), stats)
+        self._charge_compilation(inputs, cost_dims, stats)
         stats.host_time_us += spec.guard_overhead_us
-
-        env: dict[int, np.ndarray] = {}
-        for param in self.working.params:
-            env[param.id] = np.ascontiguousarray(
-                inputs[param.attrs["param_name"]])
-        for node, value in self.constants.items():
-            env[node.id] = value
-
+        eager_dispatch_us = spec.dispatch_us if spec.eager_dispatch else None
         for kernel in self.kernels:
-            args = [env[n.id] for n in kernel.input_nodes]
-            outputs = kernel.execute(args, dims)
-            for node, value in zip(kernel.output_nodes, outputs):
-                env[node.id] = value
-            # dims may have grown (reshape-solved symbols); derive the
-            # padded cost bindings from the *current* dims each time.
-            self._charge_kernel(kernel, dims, self._cost_dims(dims), stats)
+            charged = charge_kernel(kernel, cost_dims, stats, None,
+                                    self._charge_options, self.device,
+                                    eager_dispatch_us=eager_dispatch_us)
+            if charged is not None and spec.bucket is not None:
+                schedule, cost = charged
+                real = kernel.cost_spec(dims, schedule, spec.base_efficiency)
+                stats.padding_waste_bytes += max(
+                    0, cost.bytes_total - real.bytes_total)
+        # Schedule picks are the engine's to report, not a baseline's.
+        stats.details.pop("schedules", None)
 
         if not spec.eager_dispatch:
             stats.host_time_us += spec.dispatch_us * stats.kernels_launched
-        results = [env[out.id] for out in self.working.outputs]
-        return results, stats
+        return self.program.execute(inputs, dims), stats
 
     # -- cost policy ---------------------------------------------------------
 
@@ -181,36 +182,7 @@ class SimulatedBaseline(Executor):
         else:
             raise ValueError(
                 f"unknown compile policy {spec.compile_policy!r}")
-        __, hit = self.cache.get_or_build(key, lambda: True)
-        if not hit:
+        if key not in self._compiled:
+            self._compiled.add(key)
             stats.compile_time_us += cost
             stats.cache_hit = False
-
-    def _charge_kernel(self, kernel, dims: dict, cost_dims: dict,
-                       stats: RunStats) -> None:
-        spec = self.spec
-        kind = kernel.kind
-        if kind is FusionKind.METADATA:
-            stats.host_time_us += 0.1 * len(kernel.members)
-            return
-        if kind is FusionKind.HOST:
-            stats.host_time_us += (self.device.host_op_us
-                                   * len(kernel.members))
-            return
-        schedule = kernel.select_schedule(cost_dims)
-        cost = kernel.cost_spec(cost_dims, schedule, spec.base_efficiency)
-        device_us = kernel_time_us(cost, self.device)
-        if spec.eager_dispatch:
-            # Python dispatcher issues ops one at a time; the device idles
-            # whenever dispatch is slower than the kernel.
-            stats.device_time_us += max(device_us, spec.dispatch_us)
-        else:
-            stats.device_time_us += device_us
-        stats.kernels_launched += 1 + cost.extra_launches
-        stats.bytes_read += cost.bytes_read
-        stats.bytes_written += cost.bytes_written
-        stats.flops += cost.flops
-        if self.spec.bucket is not None:
-            real = kernel.cost_spec(dims, schedule, spec.base_efficiency)
-            stats.padding_waste_bytes += max(
-                0, cost.bytes_total - real.bytes_total)

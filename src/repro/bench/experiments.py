@@ -475,9 +475,13 @@ def _softmax_micro():
 
 
 def _geomean(values) -> float:
-    values = [v for v in values if v > 0]
+    """Geometric mean of positive ratios; raises on empty or
+    non-positive input rather than hiding it in the mean."""
+    values = list(values)
     if not values:
-        return 1.0
+        raise ValueError("geomean of no values")
+    if any(not v > 0 for v in values):
+        raise ValueError(f"geomean needs positive values, got {values}")
     return float(np.exp(np.mean(np.log(values))))
 
 
@@ -793,7 +797,6 @@ def e11_memory_planning(models: list | None = None, seed: int = 0,
     re-planning pass per signature.  The gate bounds the worst ratio of
     symbolic peak over per-shape peak.
     """
-    from ..numerics.resolve import bind_inputs, resolve_all_dims
     from ..runtime.memory import replan_peak_for_shape
 
     model_names = models or list(BENCH_MODELS)
@@ -806,8 +809,7 @@ def e11_memory_planning(models: list | None = None, seed: int = 0,
             config = FusionConfig() if fused else FusionConfig.none()
             exe = DiscCompiler(CompileOptions(fusion=config)).compile(
                 model.graph)
-            dims = bind_inputs(exe.params, inputs)
-            resolve_all_dims(exe.graph.nodes, dims)
+            dims = exe.host_program.bind(inputs)
             stats = exe.buffer_plan.evaluate(dims)
             rows.append({
                 "model": model_name,
@@ -832,8 +834,7 @@ def e11_memory_planning(models: list | None = None, seed: int = 0,
             values = {axis: int(shape_rng.integers(lo, hi + 1))
                       for axis, (lo, hi) in model.axes.items()}
             inputs = model.sample_inputs(shape_rng, values)
-            dims = bind_inputs(exe.params, inputs)
-            resolve_all_dims(exe.graph.nodes, dims)
+            dims = exe.host_program.bind(inputs)
             concrete = exe.buffer_plan.evaluate(dims)
             one_plan = symbolic.peak_at(dims)
             per_shape = replan_peak_for_shape(
@@ -1067,25 +1068,11 @@ def _bare_replay_fn(executable, inputs_list: list):
     compute, which both engines share, out of the ratio).
     """
     program = executable.host_program
-    prepared = []
-    for inputs in inputs_list:
-        dims = program.bind(inputs)
-        arrays = [(slot, np.ascontiguousarray(inputs[name]))
-                  for slot, name in program.param_slots]
-        prepared.append((dims, arrays))
+    prepared = [(inputs, program.bind(inputs)) for inputs in inputs_list]
 
     def once() -> None:
-        for dims, arrays in prepared:
-            env = program.env_template.copy()
-            for slot, array in arrays:
-                env[slot] = array
-            for instr in program.instructions:
-                outputs = instr.kernel.execute(
-                    [env[s] for s in instr.in_slots], dims)
-                for slot, value in zip(instr.out_slots, outputs):
-                    env[slot] = value
-                for slot in instr.release:
-                    env[slot] = None
+        for inputs, dims in prepared:
+            program.execute(inputs, dims)
     return once
 
 
@@ -1113,10 +1100,6 @@ def _time_runners(runners: dict, repeats: int, calls: int,
                 run()
             best[name] = min(best[name], span.duration_us)
     return {name: value / calls for name, value in best.items()}
-
-
-def _geomean(values: list) -> float:
-    return float(np.exp(np.mean(np.log(values)))) if values else 0.0
 
 
 def e15_host_overhead(device_name: str = "A10",

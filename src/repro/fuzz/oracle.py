@@ -561,7 +561,6 @@ class DifferentialOracle:
         sound plan whose estimated peak never worsened.
         """
         from ..lint.interval_checks import check_memory_symbolic
-        from ..numerics.resolve import bind_inputs
         from ..runtime.symplan import measure_peak_bytes
 
         result.executors_checked.append(MEMPLAN_EXECUTOR)
@@ -573,9 +572,7 @@ class DifferentialOracle:
                        "(CompileOptions.symbolic_memory defaults on)"))
             return
         try:
-            program = executable.host_program
-            dims = bind_inputs(program.params, inputs)
-            program.resolution.run(dims)
+            dims = executable.host_program.bind(inputs)
             expected, _ = ExecutionEngine(executable, self.device).run(
                 inputs)
             peak = symbolic.peak_at(dims)

@@ -1,10 +1,8 @@
 """Runtime abstraction layer: executables, host programs, engine, caches."""
 
-from .caches import (ShapeSpecializationCache, make_signature_fn,
-                     shape_signature)
+from .caches import make_signature_fn, shape_signature
 from .engine import (EngineOptions, ExecutionEngine,
-                     LegacyExecutionEngine, charge_batched_kernel,
-                     charge_kernel)
+                     LegacyExecutionEngine, charge_kernel)
 from .executable import CompileReport, Executable
 from .hostprog import (HostInstruction, HostProgram, lower_executable,
                        lower_program)
@@ -17,9 +15,9 @@ from .symplan import (MemoryBudget, SlotExtent, SymbolicBufferPlan,
                       measure_peak_bytes, plan_symbolic)
 
 __all__ = [
-    "ShapeSpecializationCache", "shape_signature", "make_signature_fn",
+    "shape_signature", "make_signature_fn",
     "EngineOptions", "ExecutionEngine", "LegacyExecutionEngine",
-    "charge_batched_kernel", "charge_kernel",
+    "charge_kernel",
     "CompileReport", "Executable",
     "HostInstruction", "HostProgram", "lower_executable", "lower_program",
     "BatchLaunchPlan", "LaunchPlan", "LaunchPlanCache", "format_signature",

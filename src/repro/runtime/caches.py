@@ -1,25 +1,21 @@
-"""Shape-signature utilities and the shape-specialisation cache.
+"""Shape-signature utilities.
 
 Compile-per-shape systems (XLA, and per-bucket systems like TVM/TensorRT)
-key their compiled artifacts on a shape signature.  This cache provides
-that behaviour plus the hit/miss accounting the shape-diversity experiment
-(E7) reports.  BladeDISC itself does not need one — its executable is
-shape-generic — which is precisely the point of the comparison.  (The
-shape-generic engine *does* key its per-signature launch plans on the same
-signatures; see :mod:`repro.runtime.launchplan`.)
+key their compiled artifacts on a shape signature; the simulated
+baselines charge a compile for every signature they have not seen.
+BladeDISC itself does not need one — its executable is shape-generic —
+which is precisely the point of the comparison.  (The shape-generic
+engine *does* key its per-signature launch plans on the same signatures;
+see :mod:`repro.runtime.launchplan`.)
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..obs.tracer import resolve_tracer
-
-__all__ = ["shape_signature", "make_signature_fn",
-           "ShapeSpecializationCache"]
+__all__ = ["shape_signature", "make_signature_fn"]
 
 
 def shape_signature(inputs: Mapping[str, np.ndarray]) -> tuple:
@@ -58,61 +54,3 @@ def make_signature_fn(params: Sequence) -> Callable[[Mapping], tuple]:
             raise BindingError(
                 f"missing input for parameter {exc.args[0]!r}") from None
     return signature
-
-
-class ShapeSpecializationCache:
-    """Maps shape signatures to compiled artifacts, with statistics.
-
-    Eviction is true LRU: a hit refreshes the entry's recency, so under
-    capacity pressure the signature that has gone unused longest leaves
-    first — what a real serving system does.  The ordered dict keeps E7
-    deterministic: identical call sequences produce identical eviction
-    sequences.
-    """
-
-    def __init__(self, capacity: int | None = None, tracer=None) -> None:
-        self._entries: OrderedDict[Hashable, object] = OrderedDict()
-        self.capacity = capacity
-        self.tracer = resolve_tracer(tracer)
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get_or_build(self, key: Hashable,
-                     build: Callable[[], object]) -> tuple:
-        """Return (artifact, was_hit); builds and inserts on miss."""
-        tracer = self.tracer
-        if key in self._entries:
-            self.hits += 1
-            if tracer.enabled:
-                tracer.event("cache:shape:hit", key=str(key))
-            self._entries.move_to_end(key)
-            return self._entries[key], True
-        self.misses += 1
-        if tracer.enabled:
-            tracer.event("cache:shape:miss", key=str(key))
-        artifact = build()
-        if self.capacity is not None and len(self._entries) >= self.capacity:
-            # LRU eviction: the least recently touched signature leaves.
-            evicted, _ = self._entries.popitem(last=False)
-            self.evictions += 1
-            if tracer.enabled:
-                tracer.event("cache:shape:evict", key=str(evicted))
-        self._entries[key] = artifact
-        return artifact, False
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
-
-    def stats(self) -> dict:
-        total = self.hits + self.misses
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hits / total if total else 0.0,
-        }

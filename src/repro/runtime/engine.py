@@ -30,7 +30,7 @@ import numpy as np
 
 from ..core.codegen.schedules import Schedule, schedule_named
 from ..core.fusion.kinds import FusionKind
-from ..device.cost import KernelSpec, kernel_time_us
+from ..device.cost import kernel_time_us
 from ..device.counters import RunStats
 from ..device.profiles import DeviceProfile
 from ..numerics.resolve import bind_inputs, resolve_all_dims
@@ -42,7 +42,7 @@ from .launchplan import (BatchLaunchPlan, LaunchPlan, LaunchPlanCache,
 from .memory import scale_batched_memory
 
 __all__ = ["EngineOptions", "ExecutionEngine", "LegacyExecutionEngine",
-           "charge_batched_kernel", "charge_kernel"]
+           "charge_kernel"]
 
 
 @dataclass
@@ -67,89 +67,64 @@ class EngineOptions:
 
 def charge_kernel(kernel, dims: dict, stats: RunStats,
                   forced: Schedule | None, options: EngineOptions,
-                  device: DeviceProfile, selector=None) -> None:
+                  device: DeviceProfile, selector=None, *, batch: int = 1,
+                  eager_dispatch_us: float | None = None):
     """Account one kernel launch into ``stats`` (simulated cost).
 
-    Shared by the legacy per-call engine and the launch-plan recorder so
-    the two cost paths cannot drift.  ``selector`` is the schedule
-    selection seam (None = dispatch-stub heuristics); the chosen variant
-    of every schedulable kernel is surfaced in
-    ``stats.details["schedules"]`` so tests and benches can assert on
-    picks.
+    The one cost charge every executor shares: the engine's plan freeze,
+    the legacy per-call engine, the interpreter fallback and the
+    simulated baselines.  ``selector`` is the schedule selection seam
+    (None = dispatch-stub heuristics); the chosen variant of every
+    schedulable kernel is surfaced in ``stats.details["schedules"]`` so
+    tests and benches can assert on picks.
+
+    ``batch`` stacked members ride a leading dim through one launch:
+    bytes, flops and parallel elements scale with it while the launch
+    overhead is paid once.  Metadata and host-placed work is per launch,
+    not per member (a batched reshape is still one view fix).
+    ``eager_dispatch_us`` models an eager framework that serializes each
+    launch behind its host dispatch: a kernel shorter than the dispatch
+    costs the full dispatch gap.
+
+    Returns ``(schedule, spec)`` for a device launch, so callers can
+    re-cost the same pick (the baselines' padding waste), or None for
+    work charged as host time.
     """
     kind = kernel.kind
     if kind is FusionKind.METADATA:
         # reshape-only: a host-side view adjustment.
         stats.host_time_us += 0.1 * len(kernel.members)
-        return
-    if kind is FusionKind.HOST:
-        if options.host_placement_enabled:
-            stats.host_time_us += device.host_op_us * len(kernel.members)
-            return
-        # Ablation: shape computation launched as device kernels.
-        spec = kernel.cost_spec(dims, None, options.base_efficiency)
-        stats.device_time_us += kernel_time_us(spec, device)
-        stats.kernels_launched += 1
-        return
-    schedule = kernel.resolve_schedule(dims, forced, selector)
+        return None
+    host = kind is FusionKind.HOST
+    if host and options.host_placement_enabled:
+        stats.host_time_us += device.host_op_us * len(kernel.members)
+        return None
+    # A host kernel reaching here is the ablation that launches shape
+    # computation as device kernels: no schedule, one launch, no traffic.
+    schedule = None if host else kernel.resolve_schedule(dims, forced,
+                                                         selector)
     if schedule is not None:
         stats.details.setdefault("schedules", {})[kernel.name] = \
             schedule.name
     spec = kernel.cost_spec(dims, schedule, options.base_efficiency)
-    stats.device_time_us += kernel_time_us(spec, device)
-    stats.kernels_launched += 1 + spec.extra_launches
-    stats.bytes_read += spec.bytes_read
-    stats.bytes_written += spec.bytes_written
-    stats.flops += spec.flops
-
-
-def _batch_spec(spec: KernelSpec, batch: int) -> KernelSpec:
-    """Scale one member's cost spec to a batched launch of ``batch``."""
-    if batch == 1:
-        return spec
-    return replace(
-        spec,
-        bytes_read=spec.bytes_read * batch,
-        bytes_written=spec.bytes_written * batch,
-        flops=spec.flops * batch,
-        parallel_elements=spec.parallel_elements * batch)
-
-
-def charge_batched_kernel(kernel, dims: dict, batch: int, stats: RunStats,
-                          forced: Schedule | None, options: EngineOptions,
-                          device: DeviceProfile, selector=None) -> None:
-    """Account one *batched* kernel launch (``batch`` stacked members).
-
-    The batch rides a leading dim through a single launch: bytes, flops
-    and parallel elements scale with ``batch`` while the launch overhead
-    is paid once — the whole point of batching on a launch-bound device.
-    Metadata and host-placed work is per launch, not per member (a
-    batched reshape is still one view fix), so it is charged once.
-    """
-    kind = kernel.kind
-    if kind is FusionKind.METADATA:
-        stats.host_time_us += 0.1 * len(kernel.members)
-        return
-    if kind is FusionKind.HOST:
-        if options.host_placement_enabled:
-            stats.host_time_us += device.host_op_us * len(kernel.members)
-            return
-        spec = _batch_spec(
-            kernel.cost_spec(dims, None, options.base_efficiency), batch)
-        stats.device_time_us += kernel_time_us(spec, device)
+    if batch != 1:
+        spec = replace(spec,
+                       bytes_read=spec.bytes_read * batch,
+                       bytes_written=spec.bytes_written * batch,
+                       flops=spec.flops * batch,
+                       parallel_elements=spec.parallel_elements * batch)
+    device_us = kernel_time_us(spec, device)
+    if eager_dispatch_us is not None:
+        device_us = max(device_us, eager_dispatch_us)
+    stats.device_time_us += device_us
+    if host:
         stats.kernels_launched += 1
-        return
-    schedule = kernel.resolve_schedule(dims, forced, selector)
-    if schedule is not None:
-        stats.details.setdefault("schedules", {})[kernel.name] = \
-            schedule.name
-    spec = _batch_spec(
-        kernel.cost_spec(dims, schedule, options.base_efficiency), batch)
-    stats.device_time_us += kernel_time_us(spec, device)
+        return None, spec
     stats.kernels_launched += 1 + spec.extra_launches
     stats.bytes_read += spec.bytes_read
     stats.bytes_written += spec.bytes_written
     stats.flops += spec.flops
+    return schedule, spec
 
 
 class ExecutionEngine:
@@ -162,8 +137,8 @@ class ExecutionEngine:
 
     ``tracer`` (None = off) wraps every call in an ``engine:run`` span
     holding an ``engine:record`` or ``engine:replay`` child with
-    per-kernel launch spans.  The untraced replay loop is kept entirely
-    branch-free: ``run`` dispatches once on ``tracer.enabled``.
+    per-kernel launch spans.  The untraced path runs the host program
+    with no hook: ``run`` dispatches once on ``tracer.enabled``.
     """
 
     def __init__(self, executable: Executable, device: DeviceProfile,
@@ -198,7 +173,9 @@ class ExecutionEngine:
 
         ``signature`` lets a caller that already computed (and noted)
         the call's signature — the adaptive specialiser — skip the
-        recomputation; plain callers leave it None.
+        recomputation; plain callers leave it None.  A miss freezes the
+        signature's plan, replays it, and only then installs it, so a
+        first call that raises leaves no plan behind.
         """
         if self.tracer.enabled:
             return self._run_traced(inputs, signature)
@@ -206,12 +183,14 @@ class ExecutionEngine:
         if signature is None:
             signature = program.signature(inputs)
             self.plans.note(signature)
-        plan = self.plans.get((self._plan_tag, signature))
-        if plan is None:
-            outputs, stats, plan = self._record(inputs, signature)
-            self.plans.put((self._plan_tag, signature), plan)
-            return outputs, stats
-        return self._replay(plan, inputs)
+        key = (self._plan_tag, signature)
+        plan = self.plans.get(key)
+        if plan is not None:
+            return self._replay(plan, inputs)
+        plan = self._freeze(signature, program.bind(inputs))
+        result = self._replay(plan, inputs)
+        self.plans.put(key, plan)
+        return result
 
     def _run_traced(self, inputs: Mapping[str, np.ndarray],
                     signature: tuple | None) -> tuple[list, RunStats]:
@@ -223,18 +202,20 @@ class ExecutionEngine:
                 signature = program.signature(inputs)
                 self.plans.note(signature)
             span.set(signature=format_signature(signature))
-            plan = self.plans.get((self._plan_tag, signature))
-            if plan is None:
-                with tracer.span("engine:record") as rec:
-                    outputs, stats, plan = self._record(inputs, signature)
-                    rec.set(kernels_launched=stats.kernels_launched)
-                self.plans.put((self._plan_tag, signature), plan)
-                span.set(path="record", cache_hit=False)
-                return outputs, stats
-            with tracer.span("engine:replay") as rep:
-                outputs, stats = self._replay_traced(plan, inputs)
-                rep.set(kernels_launched=stats.kernels_launched)
-            span.set(path="replay", cache_hit=True)
+            key = (self._plan_tag, signature)
+            plan = self.plans.get(key)
+            hit = plan is not None
+            path = "replay" if hit else "record"
+            with tracer.span(f"engine:{path}") as child:
+                if not hit:
+                    plan = self._freeze(signature, program.bind(inputs))
+                launches = None if hit else plan.launches
+                with _KernelSpans(tracer, launches) as hook:
+                    outputs, stats = self._replay(plan, inputs, hook)
+                child.set(kernels_launched=stats.kernels_launched)
+            if not hit:
+                self.plans.put(key, plan)
+            span.set(path=path, cache_hit=hit)
             return outputs, stats
 
     def peek_plan(self, signature: tuple) -> LaunchPlan | None:
@@ -247,12 +228,12 @@ class ExecutionEngine:
         """Freeze and install the signature's plan without executing data.
 
         This is the background-compilation entry point of the serving
-        runtime (:mod:`repro.serving`): all the shape-generic work of a
-        first call — binding, derived-symbol resolution, schedule
-        selection, cost-recipe and memory-plan evaluation — runs here in
-        the exact order :meth:`_record` charges it, so the frozen plan is
-        bit-identical to one recorded by a data-carrying first call, and
-        a later :meth:`run` of the signature replays it as a warm hit.
+        runtime (:mod:`repro.serving`): the shape-generic work of a first
+        call — binding, derived-symbol resolution, schedule selection,
+        cost-recipe and memory-plan evaluation — goes through the same
+        :meth:`_freeze` a data-carrying first call uses, so the plan is
+        bit-identical to a recorded one and a later :meth:`run` of the
+        signature replays it as a warm hit.
 
         ``selector`` freezes schedule picks chosen by a non-default
         policy (the autotuner's winners) into the plan; ``overwrite``
@@ -262,35 +243,19 @@ class ExecutionEngine:
         program = self.host_program
         if signature is None:
             signature = program.signature(inputs)
+        key = (self._plan_tag, signature)
         if not overwrite:
-            existing = self.plans.peek((self._plan_tag, signature))
+            existing = self.plans.peek(key)
             if existing is not None:
                 return existing
         tracer = self.tracer
         with tracer.span("engine:prepare", tag=self._plan_tag) as span:
-            options = self.options
-            dims = bind_inputs(program.params, inputs)
-            program.resolution.run(dims)
-            stats = RunStats(cache_hit=True)
-            forced: Schedule | None = None
-            if options.fixed_schedule is not None:
-                forced = schedule_named(options.fixed_schedule)
-            device = self.device
-            for instr in program.instructions:
-                charge_kernel(instr.kernel, dims, stats, forced, options,
-                              device, selector)
-            stats.host_time_us += (options.dispatch_us_per_kernel
-                                   * stats.kernels_launched)
-            buffer_plan = self.executable.buffer_plan
-            if buffer_plan is not None:
-                stats.details["memory"] = buffer_plan.evaluate(dims)
-            plan = LaunchPlan.freeze(signature, dims, stats,
-                                     tuned=selector is not None)
-            plan.memory_class = self._memory_class
-            self.plans.put((self._plan_tag, signature), plan)
+            plan = self._freeze(signature, program.bind(inputs),
+                                selector=selector)
+            self.plans.put(key, plan)
             if tracer.enabled:
                 span.set(signature=format_signature(signature),
-                         kernels_launched=stats.kernels_launched)
+                         kernels_launched=plan.kernels_launched)
         return plan
 
     # -- batched launches (the serving batcher's entry points) -------------
@@ -325,33 +290,13 @@ class ExecutionEngine:
         tracer = self.tracer
         with tracer.span("engine:prepare_batched",
                          tag=self._plan_tag) as span:
-            options = self.options
-            program = self.host_program
-            dims = program.bind_signature(signature)
-            stats = RunStats(cache_hit=True)
-            forced: Schedule | None = None
-            if options.fixed_schedule is not None:
-                forced = schedule_named(options.fixed_schedule)
-            device = self.device
-            for instr in program.instructions:
-                charge_batched_kernel(instr.kernel, dims, batch_size,
-                                      stats, forced, options, device)
-            stats.host_time_us += (options.dispatch_us_per_kernel
-                                   * stats.kernels_launched)
-            buffer_plan = self.executable.buffer_plan
-            if buffer_plan is not None:
-                stats.details["memory"] = scale_batched_memory(
-                    buffer_plan.evaluate(dims), batch_size)
-            plan = BatchLaunchPlan.freeze_batched(
-                key[1], dims, stats, batch_size, signature)
-            if self._memory_class is not None:
-                plan.memory_class = dict(self._memory_class,
-                                         batch=batch_size)
+            dims = self.host_program.bind_signature(signature)
+            plan = self._freeze(signature, dims, batch=batch_size)
             self.plans.put(key, plan)
             if tracer.enabled:
                 span.set(signature=format_signature(key[1]),
                          batch=batch_size,
-                         kernels_launched=stats.kernels_launched)
+                         kernels_launched=plan.kernels_launched)
         return plan
 
     def run_batched(self, inputs_list: Sequence[Mapping[str, np.ndarray]],
@@ -369,121 +314,106 @@ class ExecutionEngine:
         if plan is None:
             plan = self.prepare_batched(signature, batch_size)
         program = self.host_program
-        results = []
-        for inputs in inputs_list:
-            dims = program.bind(inputs)
-            env = program.env_template.copy()
-            for slot, name in program.param_slots:
-                env[slot] = np.ascontiguousarray(inputs[name])
-            for instr in program.instructions:
-                outputs = instr.kernel.execute(
-                    [env[s] for s in instr.in_slots], dims)
-                for slot, value in zip(instr.out_slots, outputs):
-                    env[slot] = value
-                for slot in instr.release:
-                    env[slot] = None
-            results.append([env[slot] for slot in program.output_slots])
+        results = [program.execute(inputs, program.bind(inputs))
+                   for inputs in inputs_list]
         return results, plan.make_stats()
 
-    # -- cold path: execute while freezing the plan ------------------------
+    # -- the one plan-freeze path and the one replay path ------------------
 
-    def _record(self, inputs: Mapping[str, np.ndarray],
-                signature: tuple) -> tuple:
-        """First call of a signature: run, charge, and freeze.
+    def _freeze(self, signature: tuple, dims: dict, *, selector=None,
+                batch: int | None = None) -> LaunchPlan:
+        """Charge every kernel at ``dims`` and freeze the result.
 
-        Mirrors the legacy engine statement for statement — same binding,
-        same execution order, same charge order — so outputs and stats
-        are bit-identical; the only addition is that the results of the
-        shape-generic work are captured for replay.
+        The plan-freeze path shared by :meth:`run`'s miss path,
+        :meth:`prepare` and :meth:`prepare_batched`.  It touches no
+        tensor data: no kernel adds a binding to ``dims`` once the host
+        program has bound them, so charging before execution charges
+        what charging alongside it would.  ``batch`` (None = a solo
+        plan) freezes a :class:`BatchLaunchPlan` for that many stacked
+        members of ``signature`` — a batch of one is still a batched
+        plan.  The per-instruction launch counts are frozen too, for the
+        traced record path's kernel spans.
         """
-        program = self.host_program
         options = self.options
-        dims = bind_inputs(program.params, inputs)
-        program.resolution.run(dims)
-        stats = RunStats(cache_hit=True)
-
-        env = program.env_template.copy()
-        for slot, name in program.param_slots:
-            env[slot] = np.ascontiguousarray(inputs[name])
-
         forced: Schedule | None = None
         if options.fixed_schedule is not None:
             forced = schedule_named(options.fixed_schedule)
         device = self.device
-        tracer = self.tracer
-        traced = tracer.enabled
-        for instr in program.instructions:
-            kernel = instr.kernel
-            if traced:
-                span = tracer.begin(f"kernel:{kernel.name}",
-                                    slots=list(instr.out_slots))
-            outputs = kernel.execute([env[s] for s in instr.in_slots],
-                                     dims)
-            for slot, value in zip(instr.out_slots, outputs):
-                env[slot] = value
+        stats = RunStats(cache_hit=True)
+        launches = []
+        for instr in self.host_program.instructions:
             before = stats.kernels_launched
-            charge_kernel(kernel, dims, stats, forced, options, device)
-            if traced:
-                tracer.end(span,
-                           launches=stats.kernels_launched - before)
-            for slot in instr.release:
-                env[slot] = None
-
+            charge_kernel(instr.kernel, dims, stats, forced, options,
+                          device, selector, batch=batch or 1)
+            launches.append(stats.kernels_launched - before)
         stats.host_time_us += (options.dispatch_us_per_kernel
                                * stats.kernels_launched)
         buffer_plan = self.executable.buffer_plan
         if buffer_plan is not None:
-            stats.details["memory"] = buffer_plan.evaluate(dims)
-        results = [env[slot] for slot in program.output_slots]
-        plan = LaunchPlan.freeze(signature, dims, stats)
-        plan.memory_class = self._memory_class
-        return results, stats, plan
+            memory = buffer_plan.evaluate(dims)
+            stats.details["memory"] = memory if batch is None else \
+                scale_batched_memory(memory, batch)
+        if batch is None:
+            plan = LaunchPlan.freeze(signature, dims, stats,
+                                     tuned=selector is not None,
+                                     launches=launches)
+            plan.memory_class = self._memory_class
+            return plan
+        plan = BatchLaunchPlan.freeze_batched(
+            HostProgram.batched_signature(signature, batch), dims, stats,
+            batch, signature, launches=launches)
+        if self._memory_class is not None:
+            plan.memory_class = dict(self._memory_class, batch=batch)
+        return plan
 
-    # -- warm path: replay against the frozen plan -------------------------
+    def _replay(self, plan: LaunchPlan, inputs: Mapping[str, np.ndarray],
+                hook=None) -> tuple:
+        """Run the instruction stream at ``plan``'s frozen dims and
+        charge its frozen cost; ``hook`` is passed to
+        :meth:`HostProgram.execute`."""
+        return (self.host_program.execute(inputs, plan.dims, hook),
+                plan.make_stats())
 
-    def _replay(self, plan: LaunchPlan,
-                inputs: Mapping[str, np.ndarray]) -> tuple:
-        """Cache hit: gather slots, run kernels, charge frozen cost."""
-        program = self.host_program
-        dims = plan.dims
-        env = program.env_template.copy()
-        for slot, name in program.param_slots:
-            env[slot] = np.ascontiguousarray(inputs[name])
-        for instr in program.instructions:
-            outputs = instr.kernel.execute(
-                [env[s] for s in instr.in_slots], dims)
-            for slot, value in zip(instr.out_slots, outputs):
-                env[slot] = value
-            for slot in instr.release:
-                env[slot] = None
-        results = [env[slot] for slot in program.output_slots]
-        return results, plan.make_stats()
 
-    def _replay_traced(self, plan: LaunchPlan,
-                       inputs: Mapping[str, np.ndarray]) -> tuple:
-        """Traced twin of :meth:`_replay` (which stays branch-free).
+class _KernelSpans:
+    """Execute hook: one ``kernel:<name>`` span around each instruction.
 
-        Replay charges the plan's frozen aggregate cost rather than
-        re-charging kernel by kernel, so the per-kernel spans here carry
-        no ``launches`` attribute — the plan-level count lives on the
-        enclosing ``engine:replay`` span.
-        """
-        tracer = self.tracer
-        program = self.host_program
-        dims = plan.dims
-        env = program.env_template.copy()
-        for slot, name in program.param_slots:
-            env[slot] = np.ascontiguousarray(inputs[name])
-        for instr in program.instructions:
-            with tracer.span(f"kernel:{instr.kernel.name}"):
-                outputs = instr.kernel.execute(
-                    [env[s] for s in instr.in_slots], dims)
-            for slot, value in zip(instr.out_slots, outputs):
-                env[slot] = value
-            for slot in instr.release:
-                env[slot] = None
-        results = [env[slot] for slot in program.output_slots]
-        return results, plan.make_stats()
+    On the record path ``launches`` (the plan's per-instruction launch
+    counts) stamps each span, next to its output slots.  Replay passes
+    None: it charges the frozen aggregate, so its kernel spans carry no
+    ``launches``.  As a context manager it closes the span a raising
+    kernel left open, stamped with the error.
+    """
+
+    __slots__ = ("tracer", "launches", "index", "span")
+
+    def __init__(self, tracer, launches: tuple | None) -> None:
+        self.tracer = tracer
+        self.launches = launches
+        self.index = 0
+        self.span = None
+
+    def before(self, instr) -> None:
+        attrs = {} if self.launches is None else \
+            {"slots": list(instr.out_slots)}
+        self.span = self.tracer.begin(f"kernel:{instr.kernel.name}",
+                                      **attrs)
+
+    def after(self, instr, env) -> None:
+        attrs = {} if self.launches is None else \
+            {"launches": self.launches[self.index]}
+        self.tracer.end(self.span, **attrs)
+        self.index += 1
+        self.span = None
+
+    def __enter__(self) -> "_KernelSpans":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if self.span is not None:
+            self.span.attrs.setdefault("error", exc_type.__name__)
+            self.tracer.end(self.span)
+        return False
 
 
 class LegacyExecutionEngine:

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..numerics.resolve import (DimResolutionPlan, bind_inputs,
                                 bind_signature, build_resolution_plan)
 from .caches import make_signature_fn
@@ -90,6 +92,39 @@ class HostProgram:
     @property
     def num_slots(self) -> int:
         return len(self.env_template)
+
+    def execute(self, inputs, dims: dict, hook=None) -> list:
+        """Run the instruction stream once; returns the program outputs.
+
+        The one gather → execute → scatter → release loop every executor
+        shares.  ``dims`` are the call's frozen bindings (a launch plan's,
+        or a fresh :meth:`bind`); nothing here charges cost.  ``hook``
+        (None = off) observes each instruction: ``hook.before(instr)``
+        runs before the kernel, ``hook.after(instr, env)`` after its
+        outputs are scattered and before any slot is released, so a hook
+        still sees the values about to die.  ``instr.kernel.execute`` is
+        looked up on every call, never pre-bound, so a kernel's
+        ``execute`` can be swapped on the instance.
+        """
+        env = self.env_template.copy()
+        for slot, name in self.param_slots:
+            env[slot] = np.ascontiguousarray(inputs[name])
+        for instr in self.instructions:
+            if hook is None:
+                outputs = instr.kernel.execute(
+                    [env[s] for s in instr.in_slots], dims)
+                for slot, value in zip(instr.out_slots, outputs):
+                    env[slot] = value
+            else:
+                hook.before(instr)
+                outputs = instr.kernel.execute(
+                    [env[s] for s in instr.in_slots], dims)
+                for slot, value in zip(instr.out_slots, outputs):
+                    env[slot] = value
+                hook.after(instr, env)
+            for slot in instr.release:
+                env[slot] = None
+        return [env[slot] for slot in self.output_slots]
 
     def bind(self, inputs) -> dict:
         """Dim bindings for one call: unify inputs, solve derived symbols.

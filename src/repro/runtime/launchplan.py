@@ -52,7 +52,8 @@ class LaunchPlan:
 
     __slots__ = ("signature", "dims", "device_time_us", "host_time_us",
                  "kernels_launched", "bytes_read", "bytes_written",
-                 "flops", "memory", "memory_class", "schedules", "tuned")
+                 "flops", "memory", "memory_class", "schedules", "tuned",
+                 "launches")
 
     def __init__(self, signature: tuple, dims: dict,
                  device_time_us: float, host_time_us: float,
@@ -60,7 +61,7 @@ class LaunchPlan:
                  bytes_written: int, flops: float,
                  memory: dict | None,
                  schedules: dict | None = None,
-                 tuned: bool = False) -> None:
+                 tuned: bool = False, launches: tuple = ()) -> None:
         self.signature = signature
         #: resolved dim bindings (input symbols + every derived symbol).
         self.dims = dims
@@ -85,15 +86,18 @@ class LaunchPlan:
         #: True when the picks came from the schedule autotuner rather
         #: than the dispatch-stub heuristics.
         self.tuned = tuned
+        #: launches charged per host instruction, in stream order (the
+        #: traced record path stamps them on its kernel spans).
+        self.launches = launches
 
     @classmethod
     def freeze(cls, signature: tuple, dims: dict, stats: RunStats,
-               tuned: bool = False) -> "LaunchPlan":
-        """Capture a fully-charged first-call ``RunStats`` as a plan.
+               tuned: bool = False, launches=()) -> "LaunchPlan":
+        """Capture a signature's fully-charged ``RunStats`` as a plan.
 
-        The stats were accumulated kernel-by-kernel in execution order,
-        so replaying them wholesale reproduces the exact floating-point
-        sums a per-call walk would have produced.
+        The stats were accumulated kernel-by-kernel in instruction
+        order, so replaying them wholesale reproduces the exact
+        floating-point sums a per-call walk would have produced.
         """
         memory = stats.details.get("memory")
         schedules = stats.details.get("schedules")
@@ -109,6 +113,7 @@ class LaunchPlan:
             memory=dict(memory) if memory is not None else None,
             schedules=dict(schedules) if schedules is not None else None,
             tuned=tuned,
+            launches=tuple(launches),
         )
 
     def make_stats(self) -> RunStats:
@@ -144,9 +149,9 @@ class BatchLaunchPlan(LaunchPlan):
 
     @classmethod
     def freeze_batched(cls, signature: tuple, dims: dict, stats: RunStats,
-                       batch_size: int,
-                       member_signature: tuple) -> "BatchLaunchPlan":
-        plan = cls.freeze(signature, dims, stats)
+                       batch_size: int, member_signature: tuple,
+                       launches=()) -> "BatchLaunchPlan":
+        plan = cls.freeze(signature, dims, stats, launches=launches)
         plan.batch_size = batch_size
         plan.member_signature = member_signature
         return plan

@@ -31,10 +31,11 @@ the concrete plan uses — ``evaluate`` delegates, which is what makes
 the engines' per-shape stats bit-identical with and without the
 symbolic layer (property-tested in ``tests/runtime``).
 
-``measure_peak_bytes`` is the ground-truth oracle: it walks the host
-program exactly like the engine, tracking the live bytes the planned
-values actually hold, so ``peak_at(dims) >= measured`` is checkable for
-any binding the property/fuzz suites sample.
+``measure_peak_bytes`` is the ground-truth oracle: it runs the host
+program through the engine's own instruction loop with a hook tracking
+the live bytes the planned values actually hold, so
+``peak_at(dims) >= measured`` is checkable for any binding the
+property/fuzz suites sample.
 """
 
 from __future__ import annotations
@@ -440,37 +441,39 @@ def measure_peak_bytes(executable, inputs) -> dict:
     breath.  Any sound class plan must satisfy
     ``peak_at(dims) >= measured_peak_bytes`` at every in-class binding.
     """
-    from ..numerics.resolve import bind_inputs
-
     program = executable.host_program
-    dims = bind_inputs(program.params, inputs)
-    program.resolution.run(dims)
-    planned = set(getattr(program, "planned_slots", ()) or ())
-    if not planned and executable.buffer_plan is not None:
-        planned = {program.slot_of[i.node_id]
-                   for i in executable.buffer_plan.intervals
-                   if i.node_id in program.slot_of}
-    env = list(program.env_template)
-    for slot, name in program.param_slots:
-        env[slot] = np.ascontiguousarray(inputs[name])
-    live = 0
-    peak = 0
-    for instr in program.instructions:
-        outputs = instr.kernel.execute([env[s] for s in instr.in_slots],
-                                       dims)
-        for slot, value in zip(instr.out_slots, outputs):
-            env[slot] = value
+    hook = _LiveBytes(set(program.planned_slots))
+    outputs = program.execute(inputs, program.bind(inputs), hook)
+    return {"measured_peak_bytes": hook.peak, "outputs": outputs}
+
+
+class _LiveBytes:
+    """Execute hook: bytes held live by ``planned`` slots, and the peak.
+
+    A value counts from the instruction that writes it until the one
+    that releases it; the peak is taken after each instruction's
+    outputs land and before its dead values are dropped.
+    """
+
+    __slots__ = ("planned", "live", "peak")
+
+    def __init__(self, planned: set) -> None:
+        self.planned = planned
+        self.live = 0
+        self.peak = 0
+
+    def before(self, instr) -> None:
+        pass
+
+    def after(self, instr, env) -> None:
+        planned = self.planned
+        for slot in instr.out_slots:
             if slot in planned:
-                live += int(np.asarray(value).nbytes)
-        peak = max(peak, live)
+                self.live += int(np.asarray(env[slot]).nbytes)
+        self.peak = max(self.peak, self.live)
         for slot in instr.release:
             if slot in planned and env[slot] is not None:
-                live -= int(np.asarray(env[slot]).nbytes)
-            env[slot] = None
-    return {
-        "measured_peak_bytes": peak,
-        "outputs": [env[slot] for slot in program.output_slots],
-    }
+                self.live -= int(np.asarray(env[slot]).nbytes)
 
 
 @dataclass(frozen=True)

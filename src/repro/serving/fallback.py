@@ -27,14 +27,13 @@ from typing import Mapping
 import numpy as np
 
 from ..core.fusion import FusionConfig, plan_fusion
-from ..core.fusion.kinds import FusionKind
 from ..core.codegen import compile_group
 from ..core.symbolic import ConstraintLevel, analyze_shapes
-from ..device.cost import kernel_time_us
 from ..device.counters import RunStats
 from ..device.profiles import DeviceProfile
 from ..interp import Interpreter
 from ..numerics.resolve import bind_inputs, resolve_all_dims
+from ..runtime.engine import EngineOptions, charge_kernel
 from ..runtime.executable import Executable
 
 __all__ = ["FallbackOptions", "InterpreterFallback"]
@@ -84,28 +83,17 @@ class InterpreterFallback:
         return outputs, self._charge(dims)
 
     def _charge(self, dims: dict) -> RunStats:
-        """Eager-dispatch cost of the un-fused op stream."""
-        options = self.options
-        device = self.device
+        """Eager-dispatch cost of the un-fused op stream.
+
+        Eager serialization: the device idles while the host dispatches,
+        so a short kernel costs a full dispatch gap.
+        """
+        options = EngineOptions(base_efficiency=self.options.base_efficiency)
+        dispatch_us = self.options.dispatch_us
         stats = RunStats(cache_hit=True)
         for kernel in self._cost_kernels:
-            kind = kernel.kind
-            if kind is FusionKind.METADATA:
-                stats.host_time_us += 0.1 * len(kernel.members)
-                continue
-            if kind is FusionKind.HOST:
-                stats.host_time_us += (device.host_op_us
-                                       * len(kernel.members))
-                continue
-            schedule = kernel.resolve_schedule(dims, None)
-            spec = kernel.cost_spec(dims, schedule,
-                                    options.base_efficiency)
-            device_us = kernel_time_us(spec, device)
-            # Eager serialization: the device idles while the host
-            # dispatches, so a short kernel costs a full dispatch gap.
-            stats.device_time_us += max(device_us, options.dispatch_us)
-            stats.kernels_launched += 1 + spec.extra_launches
-            stats.bytes_read += spec.bytes_read
-            stats.bytes_written += spec.bytes_written
-            stats.flops += spec.flops
+            charge_kernel(kernel, dims, stats, None, options, self.device,
+                          eager_dispatch_us=dispatch_us)
+        # Schedule picks are the engine's to report, not the fallback's.
+        stats.details.pop("schedules", None)
         return stats

@@ -1,8 +1,8 @@
-"""Shape-specialisation cache behaviour."""
+"""Shape-signature keys."""
 
 import numpy as np
 
-from repro.runtime import ShapeSpecializationCache, shape_signature
+from repro.runtime import shape_signature
 
 
 def test_signature_deterministic_and_order_free():
@@ -15,47 +15,3 @@ def test_signature_distinguishes_shapes():
     a = {"x": np.zeros((2, 3))}
     b = {"x": np.zeros((3, 2))}
     assert shape_signature(a) != shape_signature(b)
-
-
-def test_hit_miss_accounting():
-    cache = ShapeSpecializationCache()
-    builds = []
-    for key in ("a", "b", "a", "a", "b"):
-        cache.get_or_build(key, lambda: builds.append(key) or key)
-    assert cache.misses == 2
-    assert cache.hits == 3
-    assert builds == ["a", "b"]
-    assert cache.stats()["hit_rate"] == 3 / 5
-
-
-def test_capacity_evicts_oldest_when_untouched():
-    cache = ShapeSpecializationCache(capacity=2)
-    cache.get_or_build("a", lambda: 1)
-    cache.get_or_build("b", lambda: 2)
-    cache.get_or_build("c", lambda: 3)  # evicts "a"
-    assert "a" not in cache
-    assert "b" in cache and "c" in cache
-    cache.get_or_build("a", lambda: 4)
-    assert cache.misses == 4
-    assert cache.evictions == 2
-
-
-def test_eviction_is_lru_a_hit_refreshes_recency():
-    cache = ShapeSpecializationCache(capacity=2)
-    cache.get_or_build("a", lambda: 1)
-    cache.get_or_build("b", lambda: 2)
-    cache.get_or_build("a", lambda: 0)  # hit: "b" becomes the LRU entry
-    cache.get_or_build("c", lambda: 3)  # evicts "b", not insertion-order "a"
-    assert "a" in cache and "c" in cache
-    assert "b" not in cache
-    assert cache.stats()["evictions"] == 1
-
-
-def test_artifact_returned():
-    cache = ShapeSpecializationCache()
-    artifact, hit = cache.get_or_build("k", lambda: {"v": 1})
-    assert artifact == {"v": 1}
-    assert not hit
-    artifact2, hit2 = cache.get_or_build("k", lambda: {"v": 2})
-    assert artifact2 is artifact
-    assert hit2

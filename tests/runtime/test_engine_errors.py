@@ -72,3 +72,35 @@ def test_float64_inputs_are_cast_or_rejected(engine, rng):
     inputs = toy_mlp_inputs(rng, 2, 3)
     (expected,), __ = engine.run(inputs)
     assert expected.dtype == np.float32
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+def test_raising_first_call_installs_no_plan(rng, traced):
+    """A miss freezes, executes, then installs: a kernel that raises on
+    the first call leaves no plan behind, and a traced call closes the
+    raising kernel's span with the error."""
+    from repro.obs import CapturingTracer
+
+    tracer = CapturingTracer() if traced else None
+    engine = ExecutionEngine(compile_graph(toy_mlp_graph().graph), A10,
+                             tracer=tracer)
+    inputs = toy_mlp_inputs(rng, 2, 3)
+    kernel = engine.host_program.instructions[-1].kernel
+
+    def broken(args, dims):
+        raise RuntimeError("kernel fault")
+
+    kernel.execute = broken
+    try:
+        with pytest.raises(RuntimeError, match="kernel fault"):
+            engine.run(inputs)
+    finally:
+        del kernel.execute
+    signature = engine.host_program.signature(inputs)
+    assert engine.peek_plan(signature) is None
+    if traced:
+        span = tracer.spans.one(f"kernel:{kernel.name}")
+        assert span.attrs["error"] == "RuntimeError"
+        assert all(s.finished for s in tracer.spans.intervals())
+    engine.run(inputs)                     # the next call records cleanly
+    assert engine.peek_plan(signature) is not None
