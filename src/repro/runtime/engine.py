@@ -7,16 +7,17 @@ way the paper splits codegen:
   :class:`~repro.runtime.hostprog.HostProgram`: dense value slots,
   slot-indexed instructions, factored dim resolution, last-use release
   (see :mod:`repro.runtime.hostprog`);
-- **per signature** — the first call with a given input-shape signature
-  binds the shapes, solves derived symbols, selects every kernel's
-  schedule and evaluates cost recipes + memory plan, freezing all of it
-  into a :class:`~repro.runtime.launchplan.LaunchPlan` in a bounded LRU
-  cache;
-- **per call** — a cache hit executes the instruction stream against the
-  frozen dims (gather slots, run the kernel, scatter slots, drop dead
-  values) and charges the precomputed cost.
+- **per signature** — the one freeze path, shared by a first call,
+  ``prepare`` and ``prepare_batched``, binds the shapes, solves derived
+  symbols, selects every kernel's schedule and evaluates cost recipes +
+  memory plan, freezing all of it into a
+  :class:`~repro.runtime.launchplan.LaunchPlan` in a bounded LRU cache;
+- **per call** — the one instruction loop, ``HostProgram.execute``, runs
+  the stream against the frozen dims (gather slots, run the kernel,
+  scatter slots, drop dead values); tracing rides it as a hook.
 
-Simulated statistics and numeric outputs are bit-identical to
+Every executor charges kernels through :func:`charge_kernel`.  Simulated
+statistics and numeric outputs are bit-identical to
 :class:`LegacyExecutionEngine`, the per-call interpreter-style engine
 kept for the E15 host-overhead comparison and the equivalence suite.
 """
@@ -71,24 +72,16 @@ def charge_kernel(kernel, dims: dict, stats: RunStats,
                   eager_dispatch_us: float | None = None):
     """Account one kernel launch into ``stats`` (simulated cost).
 
-    The one cost charge every executor shares: the engine's plan freeze,
-    the legacy per-call engine, the interpreter fallback and the
+    The one cost charge of the engines, the interpreter fallback and the
     simulated baselines.  ``selector`` is the schedule selection seam
     (None = dispatch-stub heuristics); the chosen variant of every
-    schedulable kernel is surfaced in ``stats.details["schedules"]`` so
-    tests and benches can assert on picks.
-
+    schedulable kernel is surfaced in ``stats.details["schedules"]``.
     ``batch`` stacked members ride a leading dim through one launch:
-    bytes, flops and parallel elements scale with it while the launch
-    overhead is paid once.  Metadata and host-placed work is per launch,
-    not per member (a batched reshape is still one view fix).
-    ``eager_dispatch_us`` models an eager framework that serializes each
-    launch behind its host dispatch: a kernel shorter than the dispatch
-    costs the full dispatch gap.
-
-    Returns ``(schedule, spec)`` for a device launch, so callers can
-    re-cost the same pick (the baselines' padding waste), or None for
-    work charged as host time.
+    bytes, flops and parallel elements scale, the launch overhead and
+    metadata/host work do not.  ``eager_dispatch_us`` serializes each
+    launch behind its host dispatch, so a short kernel costs the full
+    dispatch gap.  Returns ``(schedule, spec)`` for a device launch (the
+    baselines re-cost the pick for padding waste), None for host work.
     """
     kind = kernel.kind
     if kind is FusionKind.METADATA:
