@@ -15,6 +15,9 @@ shape — the CI perf-smoke gate pins it.
 Runnable directly as a perf-smoke gate (used by CI)::
 
     python benchmarks/bench_e11_memory_planning.py --quick
+
+A ``--quick`` run saves ``e11_memory_planning.quick.{json,txt}``, so it never
+overwrites the full run's artifact.
 """
 
 import sys
@@ -99,8 +102,8 @@ def main(argv=None) -> int:
                                      shapes_per_model=args.shapes)
     else:
         result = e11_memory_planning(shapes_per_model=args.shapes)
-    print_and_save("e11_memory_planning", result,
-                   format_memory_planning(result))
+    name = "e11_memory_planning" + (".quick" if args.quick else "")
+    print_and_save(name, result, format_memory_planning(result))
 
     if args.quick or args.check:
         failures = _check_gate(result)

@@ -11,6 +11,9 @@ synchronous-compile p99, and injected compile faults (transient retries
 Runnable directly as a perf-smoke gate (used by CI)::
 
     python benchmarks/bench_e16_async_serving.py --quick
+
+A ``--quick`` run saves ``e16_async_serving.quick.{json,txt}``, so it never
+overwrites the full run's artifact.
 """
 
 import sys
@@ -92,8 +95,8 @@ def main(argv=None) -> int:
                                    num_queries=QUICK_QUERIES)
     else:
         result = e16_async_serving(args.device)
-    print_and_save("e16_async_serving", result,
-                   format_async_serving(result))
+    name = "e16_async_serving" + (".quick" if args.quick else "")
+    print_and_save(name, result, format_async_serving(result))
 
     if args.quick or args.check:
         errors = sum(row["errors"] for row in result["rows"])

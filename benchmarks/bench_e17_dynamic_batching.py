@@ -12,6 +12,9 @@ checked-in E16 async-serving baseline.
 Runnable directly as a perf-smoke gate (used by CI)::
 
     python benchmarks/bench_e17_dynamic_batching.py --quick
+
+A ``--quick`` run saves ``e17_dynamic_batching.quick.{json,txt}``, so it never
+overwrites the full run's artifact.
 """
 
 import json
@@ -129,8 +132,8 @@ def main(argv=None) -> int:
                                       rates_qps=QUICK_RATES)
     else:
         result = e17_dynamic_batching(args.device)
-    print_and_save("e17_dynamic_batching", result,
-                   format_dynamic_batching(result))
+    name = "e17_dynamic_batching" + (".quick" if args.quick else "")
+    print_and_save(name, result, format_dynamic_batching(result))
 
     if args.quick or args.check:
         gain = result["throughput_gain_at_gate"]

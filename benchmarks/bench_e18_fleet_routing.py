@@ -15,6 +15,9 @@ every OK response is bit-identical to a direct engine run.
 Runnable directly as a perf-smoke gate (used by CI)::
 
     python benchmarks/bench_e18_fleet_routing.py --quick
+
+A ``--quick`` run saves ``e18_fleet_routing.quick.{json,txt}``, so it never
+overwrites the full run's artifact.
 """
 
 import sys
@@ -104,8 +107,8 @@ def main(argv=None) -> int:
                                    replica_counts=(4,))
     else:
         result = e18_fleet_routing(args.device)
-    print_and_save("e18_fleet_routing", result,
-                   format_fleet_routing(result))
+    name = "e18_fleet_routing" + (".quick" if args.quick else "")
+    print_and_save(name, result, format_fleet_routing(result))
 
     if args.quick or args.check:
         if result["errors"]:

@@ -44,7 +44,11 @@ __all__ = ["CompileOptions", "DiscCompiler", "compile_graph"]
 
 @dataclass
 class CompileOptions:
-    """Every ablatable knob of the pipeline."""
+    """Every ablatable knob of the pipeline.
+
+    The memory stage has no on/off knob: every executable gets both the
+    concrete buffer plan and its class-wide symbolic lift.
+    """
 
     constraint_level: ConstraintLevel = ConstraintLevel.FULL
     fusion: FusionConfig = field(default_factory=FusionConfig)
@@ -61,15 +65,13 @@ class CompileOptions:
     #: proven deployment bounds, symbol name -> ``(lo, hi)`` (either end
     #: may be None).  Fed as ``assume_range`` facts into the interval
     #: analyzers (L6xx) when linting: a bound here retires hazards the
-    #: class alone cannot exclude (e.g. a possible zero extent).  Zoo
+    #: class alone cannot exclude (e.g. a possible zero extent).  The
+    #: memory stage uses them too: the buffer plan's slots are re-packed
+    #: over a corner sweep of the ranges, and the class-wide symbolic
+    #: plan (``Executable.symbolic_plan``, always built) gets a finite
+    #: proven peak; without them its upper end is unbounded.  Zoo
     #: models supply their ``Model.axes`` ranges.
     assume_ranges: dict | None = None
-    #: lift the buffer plan to the signature class (runtime.symplan):
-    #: symbolic slot extents, interval-valued peak with provenance, the
-    #: aliasing proof.  ``assume_ranges`` makes the peak finitely
-    #: provable; without them the plan still builds with an unbounded
-    #: upper end.  Per-call numbers are unchanged either way.
-    symbolic_memory: bool = True
     #: append the peak-aware operator reordering pass: reschedule nodes
     #: within topological freedom to shrink the estimated symbolic peak.
     #: Off by default — it changes kernel order (outputs stay
@@ -137,16 +139,14 @@ class DiscCompiler:
             constant_bytes = sum(int(value.nbytes)
                                  for value in constants.values())
             with tracer.span("stage:memory") as s:
-                buffer_plan = plan_buffers(kernels, working.outputs,
-                                           constant_bytes=constant_bytes)
-                symbolic_plan = None
-                if options.symbolic_memory:
-                    symbolic_plan = plan_symbolic(
-                        buffer_plan, working,
-                        assume_ranges=options.assume_ranges,
-                        constant_bytes=constant_bytes)
-                    s.set(slots=buffer_plan.num_slots,
-                          class_peak=str(symbolic_plan.peak_fact.interval))
+                buffer_plan = plan_buffers(
+                    kernels, working, constant_bytes=constant_bytes,
+                    assume_ranges=options.assume_ranges)
+                symbolic_plan = plan_symbolic(
+                    buffer_plan, working,
+                    assume_ranges=options.assume_ranges)
+                s.set(slots=buffer_plan.num_slots,
+                      class_peak=str(symbolic_plan.peak_fact.interval))
             # Host-program lowering: renumber values to dense slots, freeze
             # per-kernel slot tuples and last-use release, factor the dim
             # resolver — everything the engine would otherwise re-derive

@@ -32,12 +32,13 @@ from ..ir.shapes import substitute
 from ..ir.verifier import verify
 from ..lint.diagnostics import LintLevel
 from ..lint.engine import lint_graph
+from ..lint.memory_checks import check_buffer_plan
 from ..runtime.engine import ExecutionEngine
 
 __all__ = ["Failure", "CaseResult", "DifferentialOracle", "make_inputs",
-           "compare_arrays", "DISC_EXECUTOR", "SERVING_EXECUTOR",
-           "BATCHING_EXECUTOR", "OBS_EXECUTOR", "TUNING_EXECUTOR",
-           "FLEET_EXECUTOR", "MEMPLAN_EXECUTOR"]
+           "compare_arrays", "bit_mismatches", "DISC_EXECUTOR",
+           "SERVING_EXECUTOR", "BATCHING_EXECUTOR", "OBS_EXECUTOR",
+           "TUNING_EXECUTOR", "FLEET_EXECUTOR", "MEMPLAN_EXECUTOR"]
 
 #: name under which the optimized pipeline appears in results.
 DISC_EXECUTOR = "DISC"
@@ -130,6 +131,46 @@ class Failure:
         where = "" if self.output_index is None \
             else f" (output {self.output_index})"
         return f"[{self.executor}] {self.kind}{where}: {self.detail}"
+
+
+def bit_mismatches(expected, outputs, executor: str,
+                   detail: str) -> list:
+    """Bit-identity of ``outputs`` against ``expected``, as failures.
+
+    The output count is checked first — a path that returns fewer
+    outputs is one mismatch, not a silent pass — then every output's
+    shape, dtype and bytes; each differing output is one ``mismatch``
+    failure carrying ``detail`` and its index.
+    """
+    if len(outputs) != len(expected):
+        return [Failure(executor=executor, kind="mismatch",
+                        detail=f"{detail}: {len(outputs)} outputs, "
+                               f"expected {len(expected)}")]
+    failures = []
+    for index, (ref, got) in enumerate(zip(expected, outputs)):
+        ref = np.asarray(ref)
+        got = np.asarray(got)
+        if (ref.shape != got.shape or ref.dtype != got.dtype
+                or ref.tobytes() != got.tobytes()):
+            failures.append(Failure(executor=executor, kind="mismatch",
+                                    detail=detail, output_index=index))
+    return failures
+
+
+def _served_failures(response, expected, executor: str,
+                    request: str) -> list:
+    """One served ``response`` against a direct run's ``expected``
+    outputs: it must have resolved OK and be bit-identical
+    (:func:`bit_mismatches`).  ``request`` names it in the details."""
+    if response is None or not response.ok:
+        status = "unresolved" if response is None \
+            else response.status.value
+        return [Failure(executor=executor, kind="exception",
+                        detail=f"{request} ended {status}, expected ok")]
+    return bit_mismatches(
+        expected, response.outputs, executor,
+        f"{request} path {response.path!r} not bit-identical to a "
+        f"direct engine run")
 
 
 @dataclass
@@ -342,13 +383,10 @@ class DifferentialOracle:
             failures.append(Failure(
                 executor=DISC_EXECUTOR, kind="invariant",
                 detail=f"fusion plan not acyclic: {exc}"))
-        if executable.buffer_plan is not None:
-            try:
-                executable.buffer_plan.verify_no_overlap_sharing()
-            except Exception as exc:  # noqa: BLE001
-                failures.append(Failure(
-                    executor=DISC_EXECUTOR, kind="invariant",
-                    detail=f"buffer plan: {exc}"))
+        for diag in check_buffer_plan(executable.buffer_plan).by_code("L301"):
+            failures.append(Failure(
+                executor=DISC_EXECUTOR, kind="invariant",
+                detail=f"buffer plan: {diag}"))
         return failures
 
     # -- serving runtime ---------------------------------------------------
@@ -399,26 +437,9 @@ class DifferentialOracle:
                 detail=f"{type(exc).__name__}: {exc}"))
             return
         for ticket in tickets:
-            response = ticket.response
-            if response is None or not response.ok:
-                status = "unresolved" if response is None \
-                    else response.status.value
-                result.failures.append(Failure(
-                    executor=SERVING_EXECUTOR, kind="exception",
-                    detail=f"request {ticket.request.id} ended "
-                           f"{status}, expected ok"))
-                continue
-            for index, (ref, got) in enumerate(zip(expected,
-                                                   response.outputs)):
-                ref = np.asarray(ref)
-                got = np.asarray(got)
-                if (ref.shape != got.shape or ref.dtype != got.dtype
-                        or ref.tobytes() != got.tobytes()):
-                    result.failures.append(Failure(
-                        executor=SERVING_EXECUTOR, kind="mismatch",
-                        detail=f"path {response.path!r} not "
-                               f"bit-identical to direct engine run",
-                        output_index=index))
+            result.failures.extend(_served_failures(
+                ticket.response, expected, SERVING_EXECUTOR,
+                f"request {ticket.request.id}"))
 
     # -- multi-replica fleet -----------------------------------------------
 
@@ -517,27 +538,10 @@ class DifferentialOracle:
                     detail=f"quarantine leaked off the faulted replica "
                            f"onto {replica.name}: {sorted(leaked)[:1]}"))
         for ticket in tickets:
-            response = ticket.response
-            if response is None or not response.ok:
-                status = "unresolved" if response is None \
-                    else response.status.value
-                result.failures.append(Failure(
-                    executor=FLEET_EXECUTOR, kind="exception",
-                    detail=f"fleet request {ticket.seq} ended "
-                           f"{status}, expected ok"))
-                continue
-            for index, (ref, got) in enumerate(zip(expected,
-                                                   response.outputs)):
-                ref = np.asarray(ref)
-                got = np.asarray(got)
-                if (ref.shape != got.shape or ref.dtype != got.dtype
-                        or ref.tobytes() != got.tobytes()):
-                    result.failures.append(Failure(
-                        executor=FLEET_EXECUTOR, kind="mismatch",
-                        detail=f"replica {ticket.replica!r} path "
-                               f"{response.path!r} not bit-identical "
-                               "to direct engine run",
-                        output_index=index))
+            result.failures.extend(_served_failures(
+                ticket.response, expected, FLEET_EXECUTOR,
+                f"fleet request {ticket.seq} on replica "
+                f"{ticket.replica!r}"))
 
     # -- symbolic memory plan ------------------------------------------------
 
@@ -564,19 +568,13 @@ class DifferentialOracle:
         from ..runtime.symplan import measure_peak_bytes
 
         result.executors_checked.append(MEMPLAN_EXECUTOR)
-        symbolic = getattr(executable, "symbolic_plan", None)
-        if symbolic is None:
-            result.failures.append(Failure(
-                executor=MEMPLAN_EXECUTOR, kind="invariant",
-                detail="pipeline produced no symbolic plan "
-                       "(CompileOptions.symbolic_memory defaults on)"))
-            return
+        symbolic = executable.symbolic_plan
         try:
             dims = executable.host_program.bind(inputs)
             expected, _ = ExecutionEngine(executable, self.device).run(
                 inputs)
             peak = symbolic.peak_at(dims)
-            charged = symbolic.evaluate(dims)["peak_bytes"]
+            charged = executable.buffer_plan.evaluate(dims)["peak_bytes"]
             measured = measure_peak_bytes(executable, inputs)
         except Exception as exc:  # noqa: BLE001
             result.failures.append(Failure(
@@ -609,17 +607,10 @@ class DifferentialOracle:
                        f"{measured['measured_peak_bytes']} live bytes "
                        f"but the class plan charges only {peak} — the "
                        f"reuse plan under-provisions this binding"))
-        for index, (ref, got) in enumerate(zip(expected,
-                                               measured["outputs"])):
-            ref = np.asarray(ref)
-            got = np.asarray(got)
-            if (ref.shape != got.shape or ref.dtype != got.dtype
-                    or ref.tobytes() != got.tobytes()):
-                result.failures.append(Failure(
-                    executor=MEMPLAN_EXECUTOR, kind="mismatch",
-                    detail="memory-oracle replay not bit-identical to a "
-                           "direct engine run",
-                    output_index=index))
+        result.failures.extend(bit_mismatches(
+            expected, measured["outputs"], MEMPLAN_EXECUTOR,
+            "memory-oracle replay not bit-identical to a direct engine "
+            "run"))
         own = symbolic.verify_sound()
         analyzer = check_memory_symbolic(executable.buffer_plan,
                                          symbolic.imap).by_code("L602")
@@ -654,23 +645,15 @@ class DifferentialOracle:
                 executor=MEMPLAN_EXECUTOR, kind="exception",
                 detail=f"reorder recompile: {type(exc).__name__}: {exc}"))
             return
-        for index, (ref, got) in enumerate(zip(expected, outputs)):
-            ref = np.asarray(ref)
-            got = np.asarray(got)
-            if (ref.shape != got.shape or ref.dtype != got.dtype
-                    or ref.tobytes() != got.tobytes()):
-                result.failures.append(Failure(
-                    executor=MEMPLAN_EXECUTOR, kind="mismatch",
-                    detail="peak-aware reorder changed numerics — the "
-                           "pass must only move schedule cost",
-                    output_index=index))
-        plan = getattr(reordered, "symbolic_plan", None)
-        if plan is not None:
-            for violation in plan.verify_sound():
-                result.failures.append(Failure(
-                    executor=MEMPLAN_EXECUTOR, kind="invariant",
-                    detail=f"reordered plan aliasing proof failed: "
-                           f"{violation}"))
+        result.failures.extend(bit_mismatches(
+            expected, outputs, MEMPLAN_EXECUTOR,
+            "peak-aware reorder changed numerics — the pass must only "
+            "move schedule cost"))
+        for violation in reordered.symbolic_plan.verify_sound():
+            result.failures.append(Failure(
+                executor=MEMPLAN_EXECUTOR, kind="invariant",
+                detail=f"reordered plan aliasing proof failed: "
+                       f"{violation}"))
 
     # -- dynamic batching --------------------------------------------------
 
@@ -746,27 +729,9 @@ class DifferentialOracle:
                 detail=f"{type(exc).__name__}: {exc}"))
             return
         for ticket in tickets:
-            response = ticket.response
-            if response is None or not response.ok:
-                status = "unresolved" if response is None \
-                    else response.status.value
-                result.failures.append(Failure(
-                    executor=BATCHING_EXECUTOR, kind="exception",
-                    detail=f"request {ticket.request.id} ended "
-                           f"{status}, expected ok"))
-                continue
-            expected = expected_by_id[id(ticket.request.inputs)]
-            for index, (ref, got) in enumerate(zip(expected,
-                                                   response.outputs)):
-                ref = np.asarray(ref)
-                got = np.asarray(got)
-                if (ref.shape != got.shape or ref.dtype != got.dtype
-                        or ref.tobytes() != got.tobytes()):
-                    result.failures.append(Failure(
-                        executor=BATCHING_EXECUTOR, kind="mismatch",
-                        detail=f"path {response.path!r} not "
-                               f"bit-identical to direct engine run",
-                        output_index=index))
+            result.failures.extend(_served_failures(
+                ticket.response, expected_by_id[id(ticket.request.inputs)],
+                BATCHING_EXECUTOR, f"request {ticket.request.id}"))
         batched = serving.counters["batched_served"]
         if permanent and batched:
             result.failures.append(Failure(
@@ -819,15 +784,9 @@ class DifferentialOracle:
                 executor=TUNING_EXECUTOR, kind="exception",
                 detail=f"{type(exc).__name__}: {exc}"))
             return
-        for index, (ref, got) in enumerate(zip(heur_out, tuned_out)):
-            ref = np.asarray(ref)
-            got = np.asarray(got)
-            if (ref.shape != got.shape or ref.dtype != got.dtype
-                    or ref.tobytes() != got.tobytes()):
-                result.failures.append(Failure(
-                    executor=TUNING_EXECUTOR, kind="mismatch",
-                    detail="tuned plan not bit-identical to heuristic "
-                           "plan", output_index=index))
+        result.failures.extend(bit_mismatches(
+            heur_out, tuned_out, TUNING_EXECUTOR,
+            "tuned plan not bit-identical to heuristic plan"))
         if tuned_stats.device_time_us > heur_stats.device_time_us \
                 * (1 + 1e-12):
             result.failures.append(Failure(
@@ -882,27 +841,9 @@ class DifferentialOracle:
                 detail=f"serving leg: {type(exc).__name__}: {exc}"))
             return
         for ticket in tickets:
-            response = ticket.response
-            if response is None or not response.ok:
-                status = "unresolved" if response is None \
-                    else response.status.value
-                result.failures.append(Failure(
-                    executor=TUNING_EXECUTOR, kind="exception",
-                    detail=f"request {ticket.request.id} ended "
-                           f"{status} under a tuner fault, expected "
-                           f"ok"))
-                continue
-            for index, (ref, got) in enumerate(zip(expected,
-                                                   response.outputs)):
-                ref = np.asarray(ref)
-                got = np.asarray(got)
-                if (ref.shape != got.shape or ref.dtype != got.dtype
-                        or ref.tobytes() != got.tobytes()):
-                    result.failures.append(Failure(
-                        executor=TUNING_EXECUTOR, kind="mismatch",
-                        detail=f"path {response.path!r} not "
-                               f"bit-identical under a tuner fault",
-                        output_index=index))
+            result.failures.extend(_served_failures(
+                ticket.response, expected, TUNING_EXECUTOR,
+                f"request {ticket.request.id} under a tuner fault"))
         if serving.counters["tuning_faults"] < 1:
             result.failures.append(Failure(
                 executor=TUNING_EXECUTOR, kind="invariant",
@@ -963,16 +904,10 @@ class DifferentialOracle:
 
         for call, ((ref_out, ref_stats), (got_out, got_stats)) in \
                 enumerate(zip(plain, traced)):
-            for index, (ref, got) in enumerate(zip(ref_out, got_out)):
-                ref = np.asarray(ref)
-                got = np.asarray(got)
-                if (ref.shape != got.shape or ref.dtype != got.dtype
-                        or ref.tobytes() != got.tobytes()):
-                    result.failures.append(Failure(
-                        executor=OBS_EXECUTOR, kind="mismatch",
-                        detail=f"call {call}: traced output not "
-                               f"bit-identical to untraced run",
-                        output_index=index))
+            result.failures.extend(bit_mismatches(
+                ref_out, got_out, OBS_EXECUTOR,
+                f"call {call}: traced output not bit-identical to "
+                f"untraced run"))
             if ref_stats != got_stats:
                 result.failures.append(Failure(
                     executor=OBS_EXECUTOR, kind="mismatch",

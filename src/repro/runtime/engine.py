@@ -156,9 +156,7 @@ class ExecutionEngine:
         # The class-wide memory snapshot is computed once per engine —
         # every frozen plan of every signature in the class shares it,
         # so replay never touches the planner again.
-        symbolic = getattr(executable, "symbolic_plan", None)
-        self._memory_class = symbolic.snapshot() \
-            if symbolic is not None else None
+        self._memory_class = executable.symbolic_plan.snapshot()
 
     def run(self, inputs: Mapping[str, np.ndarray],
             signature: tuple | None = None) -> tuple[list, RunStats]:
@@ -341,11 +339,9 @@ class ExecutionEngine:
             launches.append(stats.kernels_launched - before)
         stats.host_time_us += (options.dispatch_us_per_kernel
                                * stats.kernels_launched)
-        buffer_plan = self.executable.buffer_plan
-        if buffer_plan is not None:
-            memory = buffer_plan.evaluate(dims)
-            stats.details["memory"] = memory if batch is None else \
-                scale_batched_memory(memory, batch)
+        memory = self.executable.buffer_plan.evaluate(dims)
+        stats.details["memory"] = memory if batch is None else \
+            scale_batched_memory(memory, batch)
         if batch is None:
             plan = LaunchPlan.freeze(signature, dims, stats,
                                      tuned=selector is not None,
@@ -355,8 +351,7 @@ class ExecutionEngine:
         plan = BatchLaunchPlan.freeze_batched(
             HostProgram.batched_signature(signature, batch), dims, stats,
             batch, signature, launches=launches)
-        if self._memory_class is not None:
-            plan.memory_class = dict(self._memory_class, batch=batch)
+        plan.memory_class = dict(self._memory_class, batch=batch)
         return plan
 
     def _replay(self, plan: LaunchPlan, inputs: Mapping[str, np.ndarray],
@@ -473,7 +468,6 @@ class LegacyExecutionEngine:
 
         stats.host_time_us += (options.dispatch_us_per_kernel
                                * stats.kernels_launched)
-        if executable.buffer_plan is not None:
-            stats.details["memory"] = executable.buffer_plan.evaluate(dims)
+        stats.details["memory"] = executable.buffer_plan.evaluate(dims)
         results = [env[out.id] for out in executable.outputs]
         return results, stats

@@ -46,14 +46,14 @@ class Executable:
     constants: dict  # Node -> np.ndarray
     report: CompileReport
     #: liveness-based intermediate-buffer reuse plan (see runtime.memory).
-    buffer_plan: object = None
+    buffer_plan: object
+    #: class-wide symbolic memory plan (see runtime.symplan): the same
+    #: slots lifted to every shape in the signature class, with an
+    #: interval-valued peak the serving/fleet budgets consume.
+    symbolic_plan: object
     #: slot-addressed host program (see runtime.hostprog); the pipeline
     #: lowers it at compile time, the engine lowers lazily if absent.
     host_program: object = None
-    #: class-wide symbolic memory plan (see runtime.symplan): one reuse
-    #: plan proven for every shape in the signature class, with an
-    #: interval-valued peak the serving/fleet budgets consume.
-    symbolic_plan: object = None
 
     @property
     def params(self) -> Sequence[Node]:

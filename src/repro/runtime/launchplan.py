@@ -77,8 +77,8 @@ class LaunchPlan:
         #: (``SymbolicBufferPlan.snapshot()``): slot count, symbolic
         #: peak bounds and provenance expression — identical for every
         #: signature in the class, so replay carries the whole-class
-        #: story without ever re-planning per shape.  None when the
-        #: executable has no symbolic plan.
+        #: story without ever re-planning per shape.  The engine sets it
+        #: when it freezes the plan.
         self.memory_class = None
         #: kernel name -> chosen schedule name (None when the program
         #: has no schedulable kernels).

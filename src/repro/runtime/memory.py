@@ -7,21 +7,34 @@ hand.  The plan is built once at compile time from the kernel order —
 liveness intervals are *structural* — while actual byte sizes are evaluated
 per call from the dim bindings, exactly like kernel cost recipes.
 
+Every slot decision in the runtime goes through one primitive,
+:func:`best_fit`: the plan's greedy colouring (start order, hinted
+sizes), the per-shape re-planner E11 measures against (largest first,
+one concrete binding) and the seed of the class repack (largest first,
+a corner sweep of the declared ranges) differ only in visit order and
+in the bindings sizes are priced at.
+
 ``BufferPlan.evaluate(dims)`` returns naive total vs reused peak bytes; the
 engine surfaces both in ``RunStats.details``.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.codegen.exprs import serialize_shape
 from ..core.codegen.support import _shape
+from ..ir.shapes import SymDim
+from ..numerics.resolve import resolve_all_dims
 
-__all__ = ["BufferPlan", "Interval", "plan_buffers",
-           "replan_peak_for_shape", "scale_batched_memory"]
+__all__ = ["BufferPlan", "Interval", "best_fit", "plan_buffers",
+           "repack_for_class", "replan_peak_for_shape",
+           "scale_batched_memory"]
 
 
 @dataclass
@@ -36,8 +49,12 @@ class Interval:
     slot: int = -1        # assigned reuse slot
 
     def bytes_at(self, dims: dict) -> int:
-        return int(np.prod(_shape(self.shape, dims), initial=1)) \
-            * self.dtype_size
+        return value_bytes(self.shape, self.dtype_size, dims)
+
+
+def value_bytes(shape: tuple, dtype_size: int, dims: dict) -> int:
+    """Bytes of one value of serialized ``shape`` at concrete ``dims``."""
+    return int(np.prod(_shape(shape, dims), initial=1)) * dtype_size
 
 
 class BufferPlan:
@@ -52,52 +69,22 @@ class BufferPlan:
         #: prepare, batched prepare, legacy) so replayed plans agree
         #: with first-call stats.
         self.constant_bytes = int(constant_bytes)
-        self.num_slots = self._assign_slots(size_hints)
-
-    def _assign_slots(self, size_hints: dict | None = None) -> int:
-        """Greedy interval-graph colouring in production order.
-
-        Two intervals may share a slot iff their live ranges do not
-        overlap.  Greedy over intervals sorted by start index uses the
-        minimum number of slots (interval graphs are perfect).  Which
-        *free* slot an interval reuses is a pure heuristic — any choice
-        is sound — so with ``size_hints`` (symbol name -> representative
-        dim value, the paper's "likely value") the planner best-fits by
-        hinted byte size: big values share slots with big values, which
-        keeps the one class-wide plan's peak close to what a per-shape
-        re-planner achieves (the E11 gate).
-        """
-        slot_free_at: list[int] = []   # slot -> end of current occupant
-        slot_size: list[int] = []      # slot -> max hinted bytes so far
-        for interval in sorted(self.intervals, key=lambda i: i.start):
-            free = [slot for slot, free_at in enumerate(slot_free_at)
-                    if free_at < interval.start]
-            if not free:
-                interval.slot = len(slot_free_at)
-                slot_free_at.append(interval.end)
-                slot_size.append(self._hinted_bytes(interval, size_hints))
-                continue
-            if size_hints is None:
-                slot = free[0]
-            else:
-                size = self._hinted_bytes(interval, size_hints)
-                # Tightest slot already big enough, else least growth.
-                slot = min(free, key=lambda s: (
-                    (0, slot_size[s] - size) if slot_size[s] >= size
-                    else (1, size - slot_size[s])))
-                slot_size[slot] = max(slot_size[slot], size)
+        # Greedy interval-graph colouring in production order: visiting
+        # by start index uses the minimum number of slots (interval
+        # graphs are perfect).  Which *free* slot an interval reuses is
+        # a pure heuristic — any choice is sound — so with ``size_hints``
+        # (symbol name -> representative dim value, the paper's "likely
+        # value") it best-fits by hinted byte size: big values share
+        # slots with big values, which keeps the one class-wide plan's
+        # peak close to what a per-shape re-planner achieves (the E11
+        # gate).
+        sizes = [(_hinted_bytes(iv, size_hints),) for iv in intervals]
+        order = sorted(range(len(intervals)),
+                       key=lambda i: intervals[i].start)
+        assign, extents = best_fit(intervals, sizes, order)
+        for interval, slot in zip(intervals, assign):
             interval.slot = slot
-            slot_free_at[slot] = interval.end
-        return len(slot_free_at)
-
-    @staticmethod
-    def _hinted_bytes(interval: Interval, size_hints: dict | None) -> int:
-        if not size_hints:
-            return 0
-        try:
-            return interval.bytes_at(size_hints)
-        except Exception:
-            return 0
+        self.num_slots = len(extents)
 
     def evaluate(self, dims: dict) -> dict:
         """Per-call memory statistics for concrete dim bindings."""
@@ -118,18 +105,79 @@ class BufferPlan:
             "values": len(self.intervals),
         }
 
-    def verify_no_overlap_sharing(self) -> None:
-        """Invariant check (used by tests): same slot => disjoint ranges."""
-        by_slot: dict[int, list[Interval]] = {}
-        for interval in self.intervals:
-            by_slot.setdefault(interval.slot, []).append(interval)
-        for intervals in by_slot.values():
-            ordered = sorted(intervals, key=lambda i: i.start)
-            for earlier, later in zip(ordered, ordered[1:]):
-                if earlier.end >= later.start:
-                    raise AssertionError(
-                        f"overlapping intervals share slot: "
-                        f"{earlier} / {later}")
+    def occupants(self) -> list:
+        """Slot -> its intervals, ordered by ``(start, end)``."""
+        by_slot: list[list] = [[] for _ in range(self.num_slots)]
+        for interval in sorted(self.intervals,
+                               key=lambda i: (i.start, i.end)):
+            by_slot[interval.slot].append(interval)
+        return by_slot
+
+
+def _hinted_bytes(interval: Interval, size_hints: dict | None) -> int:
+    if not size_hints:
+        return 0
+    try:
+        return interval.bytes_at(size_hints)
+    except Exception:
+        return 0
+
+
+def best_fit(intervals: list, sizes: list, order) -> tuple[list, list]:
+    """The one slot assigner: best fit over live-range-disjoint slots.
+
+    ``sizes[i]`` prices interval ``i`` at one or more bindings (one int
+    per binding).  Intervals are placed in ``order``; each goes to the
+    slot whose occupants' live ranges are all disjoint from its own and
+    that costs least as ``(growth, waste, slot)`` summed over the
+    bindings — the tightest slot that already fits, else the one
+    needing the least growth, ties to the lowest slot — or to a new
+    slot when no slot is disjoint.  Returns ``(assign, extents)``:
+    interval index -> slot, and slot -> per-binding max occupant size.
+
+    Visiting in start order this is exactly the classic greedy
+    colouring: a slot's last occupant then has the largest ``end``, so
+    "no overlap with any occupant" is the same test as "the slot is
+    free before ``start``" (``free_at < start``).
+    """
+    assign = [-1] * len(intervals)
+    ranges: list[list] = []   # slot -> occupants' (start, end), sorted
+    extents: list[list] = []  # slot -> per-binding max occupant size
+    for i in order:
+        interval = intervals[i]
+        size = sizes[i]
+        best = None
+        for slot, occupied in enumerate(ranges):
+            if not _disjoint(occupied, interval):
+                continue
+            growth = waste = 0
+            for need, have in zip(size, extents[slot]):
+                if need > have:
+                    growth += need - have
+                else:
+                    waste += have - need
+            if best is None or (growth, waste, slot) < best:
+                best = (growth, waste, slot)
+        if best is None:
+            assign[i] = len(ranges)
+            ranges.append([(interval.start, interval.end)])
+            extents.append(list(size))
+            continue
+        slot = best[2]
+        assign[i] = slot
+        bisect.insort(ranges[slot], (interval.start, interval.end))
+        extents[slot] = [max(need, have)
+                         for need, have in zip(size, extents[slot])]
+    return assign, extents
+
+
+def _disjoint(occupied: list, interval: Interval) -> bool:
+    """True iff ``interval`` overlaps none of ``occupied``: pairwise
+    disjoint ``(start, end)`` ranges sorted by start (hence by end too),
+    so only the two neighbours of its insertion point can overlap it."""
+    pos = bisect.bisect_right(occupied, (interval.start, math.inf))
+    return ((pos == 0 or occupied[pos - 1][1] < interval.start)
+            and (pos == len(occupied) or interval.end < occupied[pos][0]))
 
 
 #: memory-dict fields that scale with the batch dim (per-member bytes).
@@ -165,48 +213,149 @@ def replan_peak_for_shape(intervals: list, dims: dict) -> dict:
     class-wide plan's peak against this per-shape peak across a shape
     sweep.  Returns ``{"peak_bytes", "slots"}``.
     """
-    items = sorted(intervals,
-                   key=lambda i: (-i.bytes_at(dims), i.start, i.node_id))
-    slots: list[dict] = []  # {"size": int, "ranges": [(start, end)]}
-    for item in items:
-        size = item.bytes_at(dims)
-        best = None
-        for slot in slots:
-            if any(start <= item.end and item.start <= end
-                   for start, end in slot["ranges"]):
-                continue
-            fits = slot["size"] >= size
-            # prefer the tightest slot that already fits; otherwise the
-            # one needing the least growth.
-            cost = (0, slot["size"] - size) if fits \
-                else (1, size - slot["size"])
-            if best is None or cost < best[0]:
-                best = (cost, slot)
-        if best is None:
-            slots.append({"size": size,
-                          "ranges": [(item.start, item.end)]})
-        else:
-            slot = best[1]
-            slot["size"] = max(slot["size"], size)
-            slot["ranges"].append((item.start, item.end))
+    sizes = [(interval.bytes_at(dims),) for interval in intervals]
+    order = sorted(range(len(intervals)),
+                   key=lambda i: (-sizes[i][0], intervals[i].start,
+                                  intervals[i].node_id))
+    _assign, extents = best_fit(intervals, sizes, order)
     return {
-        "peak_bytes": sum(slot["size"] for slot in slots),
-        "slots": len(slots),
+        "peak_bytes": sum(extent[0] for extent in extents),
+        "slots": len(extents),
     }
 
 
-def plan_buffers(kernels: list, graph_outputs,
-                 constant_bytes: int = 0) -> BufferPlan:
-    """Build the liveness intervals from an ordered kernel list.
+def _class_bindings(graph, assume_ranges: dict,
+                    max_bindings: int = 64) -> list | None:
+    """Deterministic lo/mid/hi corner sweep of the declared ranges,
+    with every derived dim resolved.  ``None`` when resolution fails
+    (some free symbol has no declared range) — callers then keep the
+    incumbent slot assignment."""
+    axes = sorted(assume_ranges.items())
+    if not axes:
+        return None
+    points = [sorted({int(lo), int((lo + hi) // 2), int(hi)})
+              for _, (lo, hi) in axes]
+    if int(np.prod([len(p) for p in points], initial=1)) > max_bindings:
+        points = [sorted({int(lo), int(hi)}) for _, (lo, hi) in axes]
+    bindings = []
+    for combo in itertools.product(*points):
+        dims = {name: value
+                for (name, _), value in zip(axes, combo)}
+        try:
+            resolve_all_dims(graph.nodes, dims)
+        except Exception:
+            return None
+        bindings.append(dims)
+    return bindings[:max_bindings]
+
+
+def repack_for_class(buffer_plan: BufferPlan, graph,
+                     assume_ranges: dict | None = None) -> bool:
+    """Re-choose the slot assignment with *class* knowledge.
+
+    The greedy colouring is optimal in slot count but prices sizes at
+    one hinted binding.  With declared ranges we can do better: price
+    every interval at a deterministic lo/mid/hi corner sweep of the
+    class, seed a best-fit-decreasing assignment, then local-search it
+    against the per-corner best-fit re-planning peaks (the E11
+    baseline).  Which slot an interval lands in is a pure heuristic —
+    any overlap-free choice is sound (and ``verify_sound`` / L602
+    re-prove it) — so the only effect is a tighter class peak.
+
+    Mutates ``interval.slot`` / ``num_slots`` in place and returns True
+    iff a strictly better assignment was adopted.
+    """
+    intervals = buffer_plan.intervals
+    if not intervals or not assume_ranges:
+        return False
+    bindings = _class_bindings(graph, assume_ranges)
+    if not bindings:
+        return False
+    try:
+        sizes = np.array([[iv.bytes_at(b) for b in bindings]
+                          for iv in intervals], dtype=np.int64)
+    except Exception:
+        return False
+    targets = np.array(
+        [max(1, replan_peak_for_shape(intervals, b)["peak_bytes"])
+         for b in bindings], dtype=np.int64)
+
+    def overlap(a, b) -> bool:
+        return a.start <= b.end and b.start <= a.end
+
+    def objective(assign: list) -> float:
+        peaks = np.zeros(len(bindings), dtype=np.int64)
+        by_slot: dict[int, list] = {}
+        for i, slot in enumerate(assign):
+            by_slot.setdefault(slot, []).append(i)
+        for members in by_slot.values():
+            peaks += sizes[members].max(axis=0)
+        return float((peaks / targets).max())
+
+    # Seed: best-fit decreasing by worst-corner size.
+    order = sorted(range(len(intervals)),
+                   key=lambda i: (-int(sizes[i].max()),
+                                  intervals[i].start,
+                                  intervals[i].node_id))
+    assign, _extents = best_fit(intervals, sizes.tolist(), order)
+
+    # Refine: move one interval at a time while the worst corner ratio
+    # strictly drops (bounded passes keep compile time deterministic).
+    current = objective(assign)
+    for _pass in range(4):
+        improved = False
+        for i in order:
+            incumbent = assign[i]
+            candidates = set(assign) | {max(assign) + 1}
+            best = (current, incumbent)
+            for slot in sorted(candidates):
+                if slot == incumbent:
+                    continue
+                if any(overlap(intervals[i], intervals[j])
+                       for j, s in enumerate(assign)
+                       if s == slot and j != i):
+                    continue
+                assign[i] = slot
+                value = objective(assign)
+                if value < best[0] - 1e-12:
+                    best = (value, slot)
+                assign[i] = incumbent
+            if best[1] != incumbent:
+                assign[i] = best[1]
+                current = best[0]
+                improved = True
+        if not improved:
+            break
+
+    incumbent_assign = [iv.slot for iv in intervals]
+    if current >= objective(incumbent_assign) - 1e-12:
+        return False
+    # Adopt: renumber densely in production order.
+    remap: dict[int, int] = {}
+    for i in sorted(range(len(intervals)),
+                    key=lambda i: (intervals[i].start,
+                                   intervals[i].node_id)):
+        remap.setdefault(assign[i], len(remap))
+    for i, interval in enumerate(intervals):
+        interval.slot = remap[assign[i]]
+    buffer_plan.num_slots = len(remap)
+    return True
+
+
+def plan_buffers(kernels: list, graph, constant_bytes: int = 0,
+                 assume_ranges: dict | None = None) -> BufferPlan:
+    """Build the liveness intervals from an ordered kernel list, then
+    assign their slots.
 
     Only *intermediates* are planned: values produced by one kernel and
     consumed by later ones.  Graph outputs live to the end of the program
     (they are handed to the caller); parameters and constants are not
-    device-allocated per call.
+    device-allocated per call.  With ``assume_ranges`` (the deployment
+    bounds, symbol -> ``(lo, hi)``) the greedy assignment is re-packed
+    with class knowledge (:func:`repack_for_class`) so one frozen plan
+    stays within a whisker of a per-shape re-planner.
     """
-    from ..ir.shapes import SymDim
-
-    output_ids = {node.id for node in graph_outputs}
+    output_ids = {node.id for node in graph.outputs}
     produced_at: dict[int, tuple] = {}   # node id -> (kernel idx, node)
     last_use: dict[int, int] = {}
     size_hints: dict[str, int] = {}
@@ -232,5 +381,7 @@ def plan_buffers(kernels: list, graph_outputs,
             start=start,
             end=end,
         ))
-    return BufferPlan(intervals, constant_bytes=constant_bytes,
+    plan = BufferPlan(intervals, constant_bytes=constant_bytes,
                       size_hints=size_hints)
+    repack_for_class(plan, graph, assume_ranges)
+    return plan

@@ -2,10 +2,10 @@
 
 The concrete :class:`~repro.runtime.memory.BufferPlan` is already
 shape-generic in *structure* — liveness intervals and slot assignment
-come from the kernel order alone — but every byte number it reports is
-evaluated per concrete binding, so the memory story was the last stage
-in the warm path still reasoned about one shape at a time.  This module
-lifts it to the *signature class*, the BladeDISC++ way:
+are chosen once, at compile time, by :mod:`repro.runtime.memory` (the
+only module that assigns slots) — but every byte number it reports is
+evaluated per concrete binding.  This module lifts the finished plan to
+the *signature class*, the BladeDISC++ way, without changing a slot:
 
 - every reuse slot gets a **symbolic extent**: the interval join of its
   occupants' byte-size facts (``IntervalMap.size_fact``), i.e. the
@@ -24,12 +24,12 @@ lifts it to the *signature class*, the BladeDISC++ way:
   fleet consume it (`BatchingOptions.memory_budget`,
   ``FleetOptions.memory_budget``).
 
-One plan serves every shape in the class: ``LaunchPlan.memory_class``
-carries the frozen snapshot, so replay never re-derives the class-wide
-story, and per-call numbers still come from the *same* slot assignment
-the concrete plan uses — ``evaluate`` delegates, which is what makes
-the engines' per-shape stats bit-identical with and without the
-symbolic layer (property-tested in ``tests/runtime``).
+The pipeline builds both plans for every executable.  One plan serves
+every shape in the class: ``LaunchPlan.memory_class`` carries the frozen
+snapshot, so replay never re-derives the class-wide story, and per-call
+numbers come from the concrete plan's ``evaluate`` over the *same* slot
+assignment — ``peak_at`` prices the frozen slot expressions and equals
+it at every binding (property-tested in ``tests/runtime``).
 
 ``measure_peak_bytes`` is the ground-truth oracle: it runs the host
 program through the engine's own instruction loop with a hook tracking
@@ -44,12 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.codegen.support import _shape
 from ..core.symbolic.intervals import (Interval, IntervalFact, IntervalMap,
                                        derive_intervals)
+from .memory import value_bytes
 
 __all__ = ["MemoryBudget", "SlotExtent", "SymbolicBufferPlan",
-           "measure_peak_bytes", "plan_symbolic", "repack_for_class"]
+           "measure_peak_bytes", "plan_symbolic"]
 
 
 @dataclass(frozen=True)
@@ -71,57 +71,51 @@ class SlotExtent:
         """The slot's concrete requirement at one binding: the max of
         its occupant size expressions (identical to what the concrete
         plan charges the slot)."""
-        best = 0
-        for shape, dtype_size in self.exprs:
-            size = int(np.prod(_shape(shape, dims), initial=1)) \
-                * dtype_size
-            if size > best:
-                best = size
-        return best
+        return max((value_bytes(shape, dtype_size, dims)
+                    for shape, dtype_size in self.exprs), default=0)
 
-    def describe(self) -> str:
+    def expression(self) -> str:
+        """The slot's symbolic size, ``max(<shape>*<dtype_size>, ...)``."""
         shapes = ", ".join(
             f"{'x'.join(str(d) for d in shape)}*{dtype_size}"
             for shape, dtype_size in self.exprs)
-        return f"slot {self.slot}: max({shapes}) in {self.fact.interval}"
+        return f"max({shapes})"
+
+    def describe(self) -> str:
+        return f"slot {self.slot}: {self.expression()} in {self.fact.interval}"
 
 
 class SymbolicBufferPlan:
     """One reuse plan, valid for every shape in the signature class.
 
     Wraps the concrete :class:`BufferPlan` (same intervals, same slot
-    assignment — per-call numbers delegate, so nothing the engines
-    report changes) and adds the class-wide layer: symbolic slot
-    extents, an interval-valued peak with a provenance chain, and the
+    assignment; per-call stats stay the concrete plan's ``evaluate``)
+    and adds the class-wide layer: symbolic slot extents, an
+    interval-valued peak with a provenance chain, and the
     liveness/aliasing proof over interval facts.
     """
 
-    def __init__(self, buffer_plan, imap: IntervalMap,
-                 constant_bytes: int = 0) -> None:
+    def __init__(self, buffer_plan, imap: IntervalMap) -> None:
         self.base = buffer_plan
         self.imap = imap
         #: shared constant pool bytes (one copy per executable, never
         #: scaled by batch size).
-        self.constant_bytes = int(constant_bytes)
+        self.constant_bytes = buffer_plan.constant_bytes
         self.slots: list[SlotExtent] = self._join_slots()
-        self.peak_fact = self._sum_fact(
-            [extent.fact for extent in self.slots],
-            head="class peak = sum of slot extents")
-        self.naive_fact = self._sum_fact(
-            [imap.size_fact(i.shape, i.dtype_size)
-             for i in buffer_plan.intervals],
-            head="class naive = sum of all values")
+        total = Interval.point(0)
+        chain: list = []
+        for extent in self.slots:
+            total = total.add(extent.fact.interval)
+            chain.extend(extent.fact.chain)
+        self.peak_fact = IntervalFact(
+            total, (f"class peak = sum of slot extents: {total}",)
+            + tuple(chain))
 
     # -- construction -------------------------------------------------------
 
     def _join_slots(self) -> list:
-        by_slot: dict[int, list] = {}
-        for interval in self.base.intervals:
-            by_slot.setdefault(interval.slot, []).append(interval)
         extents = []
-        for slot in range(self.base.num_slots):
-            occupants = sorted(by_slot.get(slot, []),
-                               key=lambda i: (i.start, i.end))
+        for slot, occupants in enumerate(self.base.occupants()):
             exprs: list = []
             joined: IntervalFact | None = None
             for occ in occupants:
@@ -149,33 +143,11 @@ class SymbolicBufferPlan:
                     + joined.chain)))
         return extents
 
-    @staticmethod
-    def _sum_fact(facts: list, head: str) -> IntervalFact:
-        total = Interval.point(0)
-        chain: list = [head]
-        for fact in facts:
-            total = total.add(fact.interval)
-            chain.extend(fact.chain)
-        return IntervalFact(total, (f"{head}: {total}",) + tuple(chain[1:]))
-
-    # -- per-call numbers (delegation = bit-identity with the legacy plan) --
-
-    @property
-    def num_slots(self) -> int:
-        return self.base.num_slots
-
-    @property
-    def intervals(self) -> list:
-        return self.base.intervals
-
-    def evaluate(self, dims: dict) -> dict:
-        """Exactly :meth:`BufferPlan.evaluate` — the symbolic layer
-        never changes what a concrete call is charged."""
-        return self.base.evaluate(dims)
+    # -- per-call numbers -----------------------------------------------------
 
     def peak_at(self, dims: dict) -> int:
         """The class plan's peak at one binding, from the frozen slot
-        expressions (no re-planning).  Equal to
+        expressions (no re-planning).  Equal to the concrete plan's
         ``evaluate(dims)["peak_bytes"]`` by construction — the property
         suite pins that — and bounded by :attr:`peak_fact` for every
         in-class binding."""
@@ -204,8 +176,7 @@ class SymbolicBufferPlan:
     def peak_expression(self) -> str:
         """The symbolic peak as a readable expression over slot maxima."""
         return " + ".join(
-            f"max({', '.join('x'.join(str(d) for d in shape) + f'*{ds}' for shape, ds in extent.exprs)})"
-            for extent in self.slots) or "0"
+            extent.expression() for extent in self.slots) or "0"
 
     def provenance(self) -> tuple:
         """The blame chain the peak bound rests on, seed-first."""
@@ -242,11 +213,7 @@ class SymbolicBufferPlan:
         Returns human-readable violations; empty means proven sound.
         """
         violations = []
-        by_slot: dict[int, list] = {}
-        for interval in self.base.intervals:
-            by_slot.setdefault(interval.slot, []).append(interval)
-        for slot, occupants in sorted(by_slot.items()):
-            ordered = sorted(occupants, key=lambda i: (i.start, i.end))
+        for slot, ordered in enumerate(self.base.occupants()):
             for earlier, later in zip(ordered, ordered[1:]):
                 if earlier.end < later.start:
                     continue
@@ -266,170 +233,18 @@ class SymbolicBufferPlan:
         return violations
 
 
-def _class_bindings(graph, assume_ranges: dict,
-                    max_bindings: int = 64) -> list | None:
-    """Deterministic lo/mid/hi corner sweep of the declared ranges,
-    with every derived dim resolved.  ``None`` when resolution fails
-    (some free symbol has no declared range) — callers then keep the
-    incumbent slot assignment."""
-    import itertools
-
-    from ..numerics.resolve import resolve_all_dims
-
-    axes = sorted(assume_ranges.items())
-    if not axes:
-        return None
-    points = [sorted({int(lo), int((lo + hi) // 2), int(hi)})
-              for _, (lo, hi) in axes]
-    if int(np.prod([len(p) for p in points], initial=1)) > max_bindings:
-        points = [sorted({int(lo), int(hi)}) for _, (lo, hi) in axes]
-    bindings = []
-    for combo in itertools.product(*points):
-        dims = {name: value
-                for (name, _), value in zip(axes, combo)}
-        try:
-            resolve_all_dims(graph.nodes, dims)
-        except Exception:
-            return None
-        bindings.append(dims)
-    return bindings[:max_bindings]
-
-
-def repack_for_class(buffer_plan, graph,
-                     assume_ranges: dict | None = None) -> bool:
-    """Re-choose the slot assignment with *class* knowledge.
-
-    The concrete planner colours intervals in production order — optimal
-    in slot count, blind to byte sizes.  With declared ranges we can do
-    better: price every interval at a deterministic lo/mid/hi corner
-    sweep of the class, seed a best-fit-decreasing assignment, then
-    local-search it against the per-corner best-fit re-planning peaks
-    (the E11 baseline).  Which slot an interval lands in is a pure
-    heuristic — any overlap-free choice is sound (and ``verify_sound`` /
-    L602 re-prove it) — so the only effect is a tighter class peak.
-
-    Mutates ``interval.slot`` / ``num_slots`` in place and returns True
-    iff a strictly better assignment was adopted.  Runs before the
-    symbolic extents are frozen and before host lowering, so every
-    downstream consumer sees one consistent story.
-    """
-    from .memory import replan_peak_for_shape
-
-    intervals = buffer_plan.intervals
-    if not intervals or not assume_ranges:
-        return False
-    bindings = _class_bindings(graph, assume_ranges)
-    if not bindings:
-        return False
-    try:
-        sizes = np.array([[iv.bytes_at(b) for b in bindings]
-                          for iv in intervals], dtype=np.int64)
-    except Exception:
-        return False
-    targets = np.array(
-        [max(1, replan_peak_for_shape(intervals, b)["peak_bytes"])
-         for b in bindings], dtype=np.int64)
-
-    def overlap(a, b) -> bool:
-        return a.start <= b.end and b.start <= a.end
-
-    def objective(assign: list) -> float:
-        peaks = np.zeros(len(bindings), dtype=np.int64)
-        by_slot: dict[int, list] = {}
-        for i, slot in enumerate(assign):
-            by_slot.setdefault(slot, []).append(i)
-        for members in by_slot.values():
-            peaks += sizes[members].max(axis=0)
-        return float((peaks / targets).max())
-
-    # Seed: best-fit decreasing by worst-corner size, least growth.
-    order = sorted(range(len(intervals)),
-                   key=lambda i: (-int(sizes[i].max()),
-                                  intervals[i].start,
-                                  intervals[i].node_id))
-    assign = [-1] * len(intervals)
-    slot_members: list[list] = []
-    slot_size: list[np.ndarray] = []
-    for i in order:
-        best = None
-        for slot, members in enumerate(slot_members):
-            if any(overlap(intervals[i], intervals[j]) for j in members):
-                continue
-            growth = int(np.maximum(sizes[i] - slot_size[slot], 0).sum())
-            waste = int(np.maximum(slot_size[slot] - sizes[i], 0).sum())
-            cost = (growth, waste, slot)
-            if best is None or cost < best:
-                best = cost
-        if best is None:
-            assign[i] = len(slot_members)
-            slot_members.append([i])
-            slot_size.append(sizes[i].copy())
-        else:
-            slot = best[2]
-            assign[i] = slot
-            slot_members[slot].append(i)
-            slot_size[slot] = np.maximum(slot_size[slot], sizes[i])
-
-    # Refine: move one interval at a time while the worst corner ratio
-    # strictly drops (bounded passes keep compile time deterministic).
-    current = objective(assign)
-    for _pass in range(4):
-        improved = False
-        for i in order:
-            incumbent = assign[i]
-            candidates = set(assign) | {max(assign) + 1}
-            best = (current, incumbent)
-            for slot in sorted(candidates):
-                if slot == incumbent:
-                    continue
-                if any(overlap(intervals[i], intervals[j])
-                       for j, s in enumerate(assign)
-                       if s == slot and j != i):
-                    continue
-                assign[i] = slot
-                value = objective(assign)
-                if value < best[0] - 1e-12:
-                    best = (value, slot)
-                assign[i] = incumbent
-            if best[1] != incumbent:
-                assign[i] = best[1]
-                current = best[0]
-                improved = True
-        if not improved:
-            break
-
-    incumbent_assign = [iv.slot for iv in intervals]
-    if current >= objective(incumbent_assign) - 1e-12:
-        return False
-    # Adopt: renumber densely in production order.
-    remap: dict[int, int] = {}
-    for i in sorted(range(len(intervals)),
-                    key=lambda i: (intervals[i].start,
-                                   intervals[i].node_id)):
-        remap.setdefault(assign[i], len(remap))
-    for i, interval in enumerate(intervals):
-        interval.slot = remap[assign[i]]
-    buffer_plan.num_slots = len(remap)
-    return True
-
-
-def plan_symbolic(buffer_plan, graph, assume_ranges: dict | None = None,
-                  constant_bytes: int = 0,
-                  imap: IntervalMap | None = None) -> SymbolicBufferPlan:
+def plan_symbolic(buffer_plan, graph,
+                  assume_ranges: dict | None = None) -> SymbolicBufferPlan:
     """Lift a concrete buffer plan to its signature class.
 
     ``assume_ranges`` are the deployment bounds (symbol -> ``(lo, hi)``)
     that make the peak *finitely* provable; without them the plan still
-    builds, with an unbounded (honest) upper end.  When ranges are
-    declared the slot assignment is first re-packed with class
-    knowledge (:func:`repack_for_class`) so the one frozen plan stays
-    within a whisker of a per-shape re-planner.
+    builds, with an unbounded (honest) upper end.  A pure lift: the
+    slot assignment is the buffer plan's own (chosen by
+    :func:`~repro.runtime.memory.plan_buffers`) and is never changed.
     """
-    repack_for_class(buffer_plan, graph, assume_ranges)
-    if imap is None:
-        imap = derive_intervals(graph, assume_ranges=assume_ranges)
-    return SymbolicBufferPlan(buffer_plan, imap,
-                              constant_bytes=constant_bytes)
+    return SymbolicBufferPlan(
+        buffer_plan, derive_intervals(graph, assume_ranges=assume_ranges))
 
 
 def measure_peak_bytes(executable, inputs) -> dict:
@@ -561,13 +376,9 @@ class MemoryBudget:
             cap: int | None = None
             interval = Interval.top()
             for name in sorted(symbols):
-                fact = self.imap_fact(plan, name, SymDim)
+                fact = plan.imap.fact_of(SymDim(name))
                 interval = interval.meet(fact.proven_interval())
             if interval.hi is not None and not interval.is_empty:
                 cap = int(interval.hi)
             caps.append(cap)
         return caps
-
-    @staticmethod
-    def imap_fact(plan: SymbolicBufferPlan, name: str, sym_cls):
-        return plan.imap.fact_of(sym_cls(name))

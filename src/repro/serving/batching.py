@@ -329,9 +329,9 @@ class BatchingServingEngine(ServingEngine):
             entry.executable.graph, entry.engine.host_program.params,
             self.batching.pad_policy)
         budget = self.batching.memory_budget
-        symbolic = getattr(entry.executable, "symbolic_plan", None)
+        symbolic = entry.executable.symbolic_plan
         cap: int | None = None
-        if budget is not None and symbolic is not None:
+        if budget is not None:
             bucketer.class_caps = tuple(
                 budget.bucket_caps(symbolic, bucketer))
             cap = budget.max_batch_size(

@@ -442,9 +442,7 @@ class FleetEngine:
         """Proven per-replica device bytes one model needs: the
         class-wide symbolic peak at the effective batch size, plus the
         constant pool.  None when no finite bound is provable."""
-        symbolic = getattr(executable, "symbolic_plan", None)
-        if symbolic is None:
-            return None
+        symbolic = executable.symbolic_plan
         batch = 1
         if self.options.batching is not None:
             batch = self.options.batching.max_batch_size

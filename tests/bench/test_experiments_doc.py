@@ -1,9 +1,20 @@
 """EXPERIMENTS.md quotes the checked-in artifacts, not stale numbers."""
 
 import json
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
+
+
+def _section(name: str) -> str:
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    return " ".join(text.split(f"## {name}")[1].split("\n## ")[0].split())
+
+
+def _artifact(name: str) -> dict:
+    return json.loads(
+        (ROOT / "benchmarks" / "results" / f"{name}.json").read_text())
 
 
 def _e15_table() -> dict:
@@ -26,9 +37,7 @@ def _ratio(value: float) -> str:
 
 
 def test_e15_table_matches_the_full_artifact():
-    artifact = json.loads(
-        (ROOT / "benchmarks" / "results" / "e15_host_overhead.json")
-        .read_text())
+    artifact = _artifact("e15_host_overhead")
     table = _e15_table()
     aggregate = artifact["aggregate"]
     assert table.pop("geomean") == (
@@ -38,6 +47,30 @@ def test_e15_table_matches_the_full_artifact():
         row["model"]: (_ratio(row["overhead_speedup"]),
                        _ratio(row["wall_speedup"]))
         for row in artifact["rows"]}
+
+
+def test_e11_numbers_match_the_full_artifact():
+    artifact = _artifact("e11_memory_planning")
+    section = _section("E11")
+    bert = {row["fusion"]: row for row in artifact["rows"]
+            if row["model"] == "bert"}
+    unfused, fused = bert["unfused"], bert["fused"]
+    assert (f"unfused {unfused['naive_mb']:.0f} MB naive → "
+            f"{unfused['peak_mb']:.0f} MB peak "
+            f"({unfused['reuse_factor']:.1f}× reuse)") in section
+    assert (f"fused {fused['naive_mb']:.0f} MB naive → "
+            f"{fused['peak_mb']:.0f} MB peak") in section
+
+    diversity = artifact["diversity"]
+    worst = max(d["worst_ratio"] for d in diversity)
+    assert re.search(r"within \*\*([\d.]+)×\*\*", section).group(1) \
+        == f"{worst:.2f}"
+    reuse = {d["model"]: d["naive_mb"] / d["symbolic_peak_mb"]
+             for d in diversity}
+    low = min(reuse, key=reuse.get)
+    high = max(reuse, key=reuse.get)
+    assert (f"{reuse[low]:.2f}× ({low}) to {reuse[high]:.2f}× ({high}) "
+            f"less memory") in section
 
 
 def test_ratio_formatting():

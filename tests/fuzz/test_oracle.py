@@ -8,7 +8,8 @@ from repro.core import CompileOptions, compile_graph
 from repro.device import A10
 from repro.fuzz import (CorruptedInterpreter, DifferentialOracle,
                         corrupt_kernel, generate_graph)
-from repro.fuzz.oracle import DISC_EXECUTOR, compare_arrays, make_inputs
+from repro.fuzz.oracle import (DISC_EXECUTOR, bit_mismatches,
+                               compare_arrays, make_inputs)
 from repro.fuzz.sampler import binding_suite
 from repro.interp import evaluate
 from repro.ir import GraphBuilder, f32
@@ -52,6 +53,35 @@ def test_compare_matches_nonfinite_patterns():
     assert compare_arrays(a, b, "f32") is not None
     c = np.array([1.0, -np.inf, np.nan], np.float32)
     assert compare_arrays(a, c, "f32") is not None
+
+
+# -- bit_mismatches ----------------------------------------------------------
+
+
+def test_bit_mismatches_accepts_identical_outputs():
+    ref = [np.arange(4, dtype=np.float32), np.ones((2, 2), np.int64)]
+    got = [a.copy() for a in ref]
+    assert bit_mismatches(ref, got, "X", "differs") == []
+
+
+def test_bit_mismatches_reports_a_short_output_list():
+    """A path returning fewer outputs must fail, not pass on the prefix
+    a ``zip`` would compare."""
+    ref = [np.arange(4, dtype=np.float32), np.ones(3, np.float32)]
+    failures = bit_mismatches(ref, ref[:1], "X", "path 'fast' differs")
+    assert len(failures) == 1
+    assert failures[0].kind == "mismatch"
+    assert failures[0].executor == "X"
+    assert "1 outputs, expected 2" in failures[0].detail
+    assert bit_mismatches(ref, [], "X", "differs")
+
+
+def test_bit_mismatches_flags_shape_dtype_and_bytes():
+    ref = [np.zeros((2, 3), np.float32)] * 3
+    got = [np.zeros((3, 2), np.float32), np.zeros((2, 3), np.float64),
+           np.full((2, 3), -0.0, np.float32)]
+    failures = bit_mismatches(ref, got, "X", "differs")
+    assert [f.output_index for f in failures] == [0, 1, 2]
 
 
 # -- clean cases -------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.baselines import DiscExecutor, make_baseline
 from repro.core import CompileOptions, ConstraintLevel, compile_graph
 from repro.device import A10, CPU_X86
 from repro.interp import evaluate
+from repro.lint import check_buffer_plan
 from repro.models import MODEL_BUILDERS, build_model
 
 SMALL = {
@@ -84,4 +85,5 @@ def test_cpu_device_serves_the_zoo(zoo_models, rng):
 def test_buffer_plans_valid_across_zoo(zoo_models):
     for name, model in zoo_models.items():
         exe = compile_graph(model.graph)
-        exe.buffer_plan.verify_no_overlap_sharing()
+        assert check_buffer_plan(exe.buffer_plan).by_code("L301") == [], \
+            name

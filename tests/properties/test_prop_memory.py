@@ -1,8 +1,10 @@
 """Buffer-planner properties over random interval sets."""
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.runtime.memory import BufferPlan
+from repro.lint import check_buffer_plan
+from repro.runtime.memory import BufferPlan, best_fit
 
 from ..strategies import interval_sets
 
@@ -11,7 +13,7 @@ from ..strategies import interval_sets
 @settings(max_examples=200)
 def test_no_overlapping_intervals_share_a_slot(intervals):
     plan = BufferPlan(intervals)
-    plan.verify_no_overlap_sharing()
+    assert check_buffer_plan(plan).by_code("L301") == []
 
 
 @given(interval_sets)
@@ -48,3 +50,28 @@ def test_slot_count_matches_max_concurrency(intervals):
         live = sum(1 for iv in intervals if iv.start <= t <= iv.end)
         max_live = max(max_live, live)
     assert plan.num_slots == max_live
+
+
+@given(interval_sets, st.randoms(use_true_random=False),
+       st.integers(min_value=1, max_value=3))
+@settings(max_examples=200)
+def test_best_fit_keeps_slots_disjoint_in_any_order(intervals, rng,
+                                                     columns):
+    """Whatever the visit order and however many size columns, no slot
+    holds two overlapping live ranges, and each slot's extent is the
+    per-column max of its occupants."""
+    order = list(range(len(intervals)))
+    rng.shuffle(order)
+    sizes = [tuple(rng.randrange(1, 64) for _ in range(columns))
+             for _ in intervals]
+    assign, extents = best_fit(intervals, sizes, order)
+    for i, a in enumerate(intervals):
+        for j in range(i):
+            b = intervals[j]
+            if assign[i] == assign[j]:
+                assert a.end < b.start or b.end < a.start
+    for slot, extent in enumerate(extents):
+        members = [sizes[i] for i in range(len(intervals))
+                   if assign[i] == slot]
+        assert members
+        assert extent == [max(column) for column in zip(*members)]

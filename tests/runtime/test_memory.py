@@ -1,13 +1,13 @@
 """Buffer planning: liveness, slot assignment, reuse accounting."""
 
 import numpy as np
-import pytest
 
 from repro.core import compile_graph
 from repro.device import A10
 from repro.runtime import ExecutionEngine, plan_buffers
 from repro.runtime.memory import BufferPlan, Interval
 from repro.ir import GraphBuilder, f32
+from repro.lint import check_buffer_plan
 
 from ..conftest import toy_mlp_graph, toy_mlp_inputs
 
@@ -27,14 +27,13 @@ def test_overlapping_intervals_get_distinct_slots():
                        interval(2, 3, 4)])
     # 0 overlaps both; 1 and 2 are disjoint from each other
     assert plan.num_slots == 2
-    plan.verify_no_overlap_sharing()
+    assert check_buffer_plan(plan).by_code("L301") == []
 
 
 def test_verify_catches_bad_assignment():
     plan = BufferPlan([interval(0, 0, 5), interval(1, 1, 2)])
     plan.intervals[1].slot = plan.intervals[0].slot
-    with pytest.raises(AssertionError):
-        plan.verify_no_overlap_sharing()
+    assert check_buffer_plan(plan).by_code("L301")
 
 
 def test_evaluate_peak_le_naive():
@@ -50,7 +49,7 @@ def test_plan_from_compiled_model():
     b = toy_mlp_graph()
     exe = compile_graph(b.graph)
     assert exe.buffer_plan is not None
-    exe.buffer_plan.verify_no_overlap_sharing()
+    assert check_buffer_plan(exe.buffer_plan).by_code("L301") == []
     stats = exe.buffer_plan.evaluate({"batch": 4, "seq": 8, "bs": 32})
     assert stats["peak_bytes"] <= stats["naive_bytes"]
     assert stats["values"] >= 1

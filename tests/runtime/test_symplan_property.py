@@ -12,8 +12,8 @@ Three claims, each over random graphs and the model zoo:
   ``assume_ranges`` the upper end is finite, so one number provably
   covers the whole class;
 - **bit-identity**: the symbolic layer never changes what runs — the
-  hosted engine over a symbolic-planned executable matches the legacy
-  per-shape engine over a plain one, outputs and ``RunStats`` both.
+  hosted engine matches the legacy per-shape engine on the same
+  executable, outputs and ``RunStats`` both.
 """
 
 import numpy as np
@@ -98,8 +98,8 @@ def test_peak_bounds_measured_peak_on_random_graphs(data):
 
     peak = symbolic.peak_at(dims)
     # Frozen slot expressions price the binding exactly like the
-    # concrete plan (the delegation that makes stats bit-identical).
-    assert peak == symbolic.evaluate(dims)["peak_bytes"]
+    # concrete plan the engines charge.
+    assert peak == executable.buffer_plan.evaluate(dims)["peak_bytes"]
     # The class interval contains every in-class binding's peak.
     interval = symbolic.peak_fact.interval
     assert interval.lo is None or interval.lo <= peak
@@ -128,7 +128,7 @@ def test_proven_peak_covers_sampled_class_members(name):
         dims = resolved_dims(executable, inputs)
         peak = symbolic.peak_at(dims)
         assert peak <= hi
-        assert peak == symbolic.evaluate(dims)["peak_bytes"]
+        assert peak == executable.buffer_plan.evaluate(dims)["peak_bytes"]
         measured = measure_peak_bytes(executable, inputs)
         assert measured["measured_peak_bytes"] <= peak
 
@@ -138,21 +138,19 @@ def test_proven_peak_covers_sampled_class_members(name):
 @given(st.data())
 @RELAXED
 def test_symbolic_layer_is_invisible_to_execution(data):
-    """Outputs and RunStats match the legacy engine bit for bit, with
-    the symbolic layer on and off — one plan per class changes what is
-    *proven*, never what runs."""
+    """Outputs and RunStats of the hosted engine match the legacy
+    per-shape engine bit for bit on the same executable — one plan per
+    class changes what is *proven*, never what runs."""
     graph = random_graph(data.draw)
     binding = {"s": data.draw(st.integers(min_value=1, max_value=9))}
     inputs = make_inputs(graph, binding, seed=1)
 
-    with_plan = compile_graph(graph)
-    without = compile_graph(graph, CompileOptions(symbolic_memory=False))
-    assert with_plan.symbolic_plan is not None
-    assert without.symbolic_plan is None
+    executable = compile_graph(graph)
+    assert executable.symbolic_plan is not None
 
-    legacy_out, legacy_stats = LegacyExecutionEngine(without, A10).run(
+    legacy_out, legacy_stats = LegacyExecutionEngine(executable, A10).run(
         inputs)
-    hosted = ExecutionEngine(with_plan, A10)
+    hosted = ExecutionEngine(executable, A10)
     for _attempt in ("record", "replay"):
         outputs, stats = hosted.run(inputs)
         assert len(outputs) == len(legacy_out)
