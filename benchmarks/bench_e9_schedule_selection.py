@@ -8,7 +8,9 @@ row-tile/vector families per zoo model and must beat the heuristic
 picks by >= 1.15x geomean on schedulable-kernel device time — while
 staying inside its search budget and changing no output bit.
 
-Run directly with ``--quick`` as the CI perf gate.
+Run directly with ``--quick`` as the CI perf gate.  A ``--quick`` run
+saves ``e9_schedule_selection.quick.{json,txt}``, so it never overwrites
+the full run's artifact.
 """
 
 import sys
@@ -125,8 +127,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     result = e9_schedule_selection(args.device)
-    print_and_save("e9_schedule_selection", result,
-                   format_schedule_selection(result))
+    name = "e9_schedule_selection" + (".quick" if args.quick else "")
+    print_and_save(name, result, format_schedule_selection(result))
     if args.quick:
         try:
             check_selector(result)

@@ -18,8 +18,8 @@ reference, or a broken invariant — is recorded as a :class:`Failure`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -34,6 +34,12 @@ from ..lint.diagnostics import LintLevel
 from ..lint.engine import lint_graph
 from ..lint.memory_checks import check_buffer_plan
 from ..runtime.engine import ExecutionEngine
+from ..serving import (BatchingOptions, BatchingServingEngine, FleetEngine,
+                       FleetOptions, ReplicaState, ServingEngine,
+                       ServingOptions, SignatureCompileCost,
+                       VirtualScheduler)
+from ..tuning import TuningOptions
+from .faults import CompileFaultInjector, TunerFaultInjector
 
 __all__ = ["Failure", "CaseResult", "DifferentialOracle", "make_inputs",
            "compare_arrays", "bit_mismatches", "DISC_EXECUTOR",
@@ -54,6 +60,14 @@ TUNING_EXECUTOR = "TUNING"
 FLEET_EXECUTOR = "FLEET"
 #: name under which the symbolic-memory-plan oracle appears.
 MEMPLAN_EXECUTOR = "MEMPLAN"
+
+#: the policy every serving leg runs under: one compile worker, a short
+#: retry backoff and a small per-signature compile cost, so retries,
+#: coalescing and quarantine all happen within a few virtual ms.
+SERVING_OPTIONS = ServingOptions(
+    compile_workers=1, compile_backoff_us=1_000.0,
+    compile_cost=SignatureCompileCost(fixed_us=5_000.0,
+                                      per_kernel_us=100.0))
 
 #: (rtol, atol) per dtype name; ints/bools compare exactly.
 _TOLERANCES = {
@@ -391,6 +405,50 @@ class DifferentialOracle:
 
     # -- serving runtime ---------------------------------------------------
 
+    def _serve(self, executor: str, result: CaseResult, executable,
+               build: Callable, waves: list,
+               label: Callable | None = None):
+        """The one driver every serving leg runs its waves through.
+
+        ``build(scheduler)`` returns the engine under test (serving,
+        batching or fleet) on a virtual scheduler seeded from the case;
+        ``executable`` is registered on it as model ``"case"``.  Each
+        wave ``(at_us, action)`` runs ``action(engine)`` at that virtual
+        time, which returns the tickets it submitted (or None).  Every
+        ticket must resolve OK and bit-identical to a direct engine run
+        of its inputs; ``label(ticket)`` names it in failure details.
+
+        Returns the engine for the leg's own invariants, or None after
+        recording an exception that escaped as a failure of
+        ``executor``.
+        """
+        tickets: list = []
+        try:
+            scheduler = VirtualScheduler(seed=result.input_seed)
+            engine = build(scheduler)
+            engine.register_model("case", executable)
+            for at_us, action in waves:
+                scheduler.call_at(at_us, lambda act=action: tickets.extend(
+                    act(engine) or ()))
+            scheduler.run_until_idle()
+            reference = ExecutionEngine(executable, self.device)
+            expected = {}
+            for ticket in tickets:
+                inputs = ticket.request.inputs
+                if id(inputs) not in expected:
+                    expected[id(inputs)] = reference.run(inputs)[0]
+        except Exception as exc:  # noqa: BLE001
+            result.failures.append(Failure(
+                executor=executor, kind="exception",
+                detail=f"{type(exc).__name__}: {exc}"))
+            return None
+        for ticket in tickets:
+            result.failures.extend(_served_failures(
+                ticket.response, expected[id(ticket.request.inputs)],
+                executor, label(ticket) if label is not None
+                else f"request {ticket.request.id}"))
+        return engine
+
     def _check_serving(self, inputs, executable,
                        result: CaseResult) -> None:
         """Replay the case through the serving runtime with faults.
@@ -401,45 +459,21 @@ class DifferentialOracle:
         fallback and quarantined paths.  The contract is strict: every
         response is OK and bit-identical to a direct engine run.
         """
-        from ..serving import (ServingEngine, ServingOptions,
-                               SignatureCompileCost, VirtualScheduler)
-        from .faults import CompileFaultInjector
-
         result.executors_checked.append(SERVING_EXECUTOR)
         seed = result.input_seed
-        try:
-            expected, _ = ExecutionEngine(executable, self.device).run(
-                inputs)
-            fault = CompileFaultInjector(
-                transient_attempts=1 if seed % 2 == 0 else 0,
-                permanent=seed % 3 == 2)
-            scheduler = VirtualScheduler(seed=seed)
-            serving = ServingEngine(
-                self.device, scheduler,
-                ServingOptions(
-                    compile_workers=1,
-                    compile_backoff_us=1_000.0,
-                    compile_cost=SignatureCompileCost(
-                        fixed_us=5_000.0, per_kernel_us=100.0)),
-                compile_fault=fault)
-            serving.register_model("case", executable)
-            tickets: list = []
-            # A cold-start burst (fallback + in-flight coalescing), then
-            # a late request once compiles settled (fast or quarantined).
-            scheduler.call_at(0.0, lambda: tickets.extend(
-                serving.submit("case", inputs) for _ in range(2)))
-            scheduler.call_at(1e8, lambda: tickets.append(
-                serving.submit("case", inputs)))
-            scheduler.run_until_idle()
-        except Exception as exc:  # noqa: BLE001
-            result.failures.append(Failure(
-                executor=SERVING_EXECUTOR, kind="exception",
-                detail=f"{type(exc).__name__}: {exc}"))
-            return
-        for ticket in tickets:
-            result.failures.extend(_served_failures(
-                ticket.response, expected, SERVING_EXECUTOR,
-                f"request {ticket.request.id}"))
+        fault = CompileFaultInjector(
+            transient_attempts=1 if seed % 2 == 0 else 0,
+            permanent=seed % 3 == 2)
+        # A cold-start burst (fallback + in-flight coalescing), then a
+        # late request once compiles settled (fast or quarantined).
+        self._serve(
+            SERVING_EXECUTOR, result, executable,
+            lambda scheduler: ServingEngine(
+                self.device, scheduler, SERVING_OPTIONS,
+                compile_fault=fault),
+            [(0.0, lambda serving: [serving.submit("case", inputs)
+                                    for _ in range(2)]),
+             (1e8, lambda serving: [serving.submit("case", inputs)])])
 
     # -- multi-replica fleet -----------------------------------------------
 
@@ -456,12 +490,6 @@ class DifferentialOracle:
         double-served across the scale-down, and quarantine never
         leaks off the faulted replica.
         """
-        from ..serving import (FleetEngine, FleetOptions, ReplicaState,
-                               ServingOptions, SignatureCompileCost,
-                               VirtualScheduler)
-        from ..tuning import TuningOptions
-        from .faults import CompileFaultInjector, TunerFaultInjector
-
         result.executors_checked.append(FLEET_EXECUTOR)
         seed = result.input_seed
         policy = ("affinity", "round_robin",
@@ -480,38 +508,27 @@ class DifferentialOracle:
         def tuning_fault_factory(uid):
             return TunerFaultInjector() if uid == 0 else None
 
-        try:
-            expected, _ = ExecutionEngine(executable, self.device).run(
-                inputs)
-            scheduler = VirtualScheduler(seed=seed)
-            fleet = FleetEngine(
-                self.device, scheduler,
-                FleetOptions(
-                    replicas=replicas, policy=policy,
-                    serving=ServingOptions(
-                        compile_workers=1,
-                        compile_backoff_us=1_000.0,
-                        compile_cost=SignatureCompileCost(
-                            fixed_us=5_000.0, per_kernel_us=100.0),
-                        tuning=(TuningOptions(budget_us=2_000.0)
-                                if tune else None))),
+        options = FleetOptions(
+            replicas=replicas, policy=policy,
+            serving=replace(SERVING_OPTIONS, tuning=(
+                TuningOptions(budget_us=2_000.0) if tune else None)))
+        # A cold burst across the fleet, a scale-down mid-stream, then
+        # a late wave that must survive the retired replica.
+        fleet = self._serve(
+            FLEET_EXECUTOR, result, executable,
+            lambda scheduler: FleetEngine(
+                self.device, scheduler, options,
                 compile_fault_factory=compile_fault_factory,
                 tuning_fault_factory=(tuning_fault_factory if tune
-                                      else None))
-            fleet.register_model("case", executable)
-            tickets: list = []
-            # A cold burst across the fleet, a scale-down mid-stream,
-            # then a late wave that must survive the retired replica.
-            scheduler.call_at(0.0, lambda: tickets.extend(
-                fleet.submit("case", inputs) for _ in range(3)))
-            scheduler.call_at(5e7, lambda: fleet.drain("r0"))
-            scheduler.call_at(1e8, lambda: tickets.extend(
-                fleet.submit("case", inputs) for _ in range(3)))
-            scheduler.run_until_idle()
-        except Exception as exc:  # noqa: BLE001
-            result.failures.append(Failure(
-                executor=FLEET_EXECUTOR, kind="exception",
-                detail=f"{type(exc).__name__}: {exc}"))
+                                      else None)),
+            [(0.0, lambda fleet: [fleet.submit("case", inputs)
+                                  for _ in range(3)]),
+             (5e7, lambda fleet: fleet.drain("r0")),
+             (1e8, lambda fleet: [fleet.submit("case", inputs)
+                                  for _ in range(3)])],
+            label=lambda ticket: (f"fleet request {ticket.seq} on "
+                                  f"replica {ticket.replica!r}"))
+        if fleet is None:
             return
         counters = fleet.stats()["requests"]
         if counters["submitted"] != 6 or counters["ok"] != 6:
@@ -530,18 +547,13 @@ class DifferentialOracle:
         for replica in fleet.replicas() + fleet.retired:
             if replica.name == "r0":
                 continue
-            leaked = (replica.engine._quarantined
-                      | replica.engine._tuning_quarantined)
+            leaked = (replica.engine.quarantined_signatures()
+                      | replica.engine.tuning_quarantined_signatures())
             if leaked:
                 result.failures.append(Failure(
                     executor=FLEET_EXECUTOR, kind="invariant",
                     detail=f"quarantine leaked off the faulted replica "
                            f"onto {replica.name}: {sorted(leaked)[:1]}"))
-        for ticket in tickets:
-            result.failures.extend(_served_failures(
-                ticket.response, expected, FLEET_EXECUTOR,
-                f"fleet request {ticket.seq} on replica "
-                f"{ticket.replica!r}"))
 
     # -- symbolic memory plan ------------------------------------------------
 
@@ -673,11 +685,6 @@ class DifferentialOracle:
         inside a batch shows up here as a bit mismatch (identical
         members would hide it).
         """
-        from ..serving import (BatchingOptions, BatchingServingEngine,
-                               ServingOptions, SignatureCompileCost,
-                               VirtualScheduler)
-        from .faults import CompileFaultInjector
-
         result.executors_checked.append(BATCHING_EXECUTOR)
         seed = result.input_seed
         permanent = seed % 3 == 2
@@ -696,42 +703,24 @@ class DifferentialOracle:
                 shifted[name] = array
             return shifted
 
-        try:
-            reference = ExecutionEngine(executable, self.device)
-            members = [variant(i) for i in range(7)]
-            expected_by_id = {id(m): reference.run(m)[0] for m in members}
-            fault = CompileFaultInjector(
-                transient_attempts=1 if seed % 2 == 0 else 0,
-                permanent=permanent)
-            scheduler = VirtualScheduler(seed=seed)
-            serving = BatchingServingEngine(
-                self.device, scheduler,
-                ServingOptions(
-                    compile_workers=1,
-                    compile_backoff_us=1_000.0,
-                    compile_cost=SignatureCompileCost(
-                        fixed_us=5_000.0, per_kernel_us=100.0)),
+        members = [variant(i) for i in range(7)]
+        fault = CompileFaultInjector(
+            transient_attempts=1 if seed % 2 == 0 else 0,
+            permanent=permanent)
+        serving = self._serve(
+            BATCHING_EXECUTOR, result, executable,
+            lambda scheduler: BatchingServingEngine(
+                self.device, scheduler, SERVING_OPTIONS,
                 batching=BatchingOptions(max_batch_size=4,
                                          max_queue_delay_us=2_000.0),
-                compile_fault=fault)
-            serving.register_model("case", executable)
-            tickets: list = []
-            scheduler.call_at(0.0, lambda: tickets.extend(
-                serving.submit("case", m) for m in members[0:3]))
-            scheduler.call_at(1e8, lambda: tickets.extend(
-                serving.submit("case", m) for m in members[3:6]))
-            scheduler.call_at(2e8, lambda: tickets.append(
-                serving.submit("case", members[6])))
-            scheduler.run_until_idle()
-        except Exception as exc:  # noqa: BLE001
-            result.failures.append(Failure(
-                executor=BATCHING_EXECUTOR, kind="exception",
-                detail=f"{type(exc).__name__}: {exc}"))
+                compile_fault=fault),
+            [(0.0, lambda serving: [serving.submit("case", m)
+                                    for m in members[0:3]]),
+             (1e8, lambda serving: [serving.submit("case", m)
+                                    for m in members[3:6]]),
+             (2e8, lambda serving: [serving.submit("case", members[6])])])
+        if serving is None:
             return
-        for ticket in tickets:
-            result.failures.extend(_served_failures(
-                ticket.response, expected_by_id[id(ticket.request.inputs)],
-                BATCHING_EXECUTOR, f"request {ticket.request.id}"))
         batched = serving.counters["batched_served"]
         if permanent and batched:
             result.failures.append(Failure(
@@ -762,7 +751,7 @@ class DifferentialOracle:
         compile completes, the installed plan is untuned, and every
         response is OK and bit-identical.
         """
-        from ..tuning import ScheduleTuner, TuningOptions
+        from ..tuning import ScheduleTuner
 
         result.executors_checked.append(TUNING_EXECUTOR)
         seed = result.input_seed
@@ -806,51 +795,31 @@ class DifferentialOracle:
                 detail="tuning not deterministic: same signature and "
                        "budget produced different winners or spend"))
         if seed % 3 == 2:
-            self._check_tuning_fault(inputs, executable, heur_out,
-                                     result, options)
+            self._check_tuning_fault(inputs, executable, result, options)
 
-    def _check_tuning_fault(self, inputs, executable, expected,
+    def _check_tuning_fault(self, inputs, executable,
                             result: CaseResult, options) -> None:
         """Tuner fault under serving: quarantine search, serve on."""
-        from ..serving import (ServingEngine, ServingOptions,
-                               SignatureCompileCost, VirtualScheduler)
-        from .faults import TunerFaultInjector
-
-        seed = result.input_seed
-        try:
-            scheduler = VirtualScheduler(seed=seed)
-            serving = ServingEngine(
+        serving = self._serve(
+            TUNING_EXECUTOR, result, executable,
+            lambda scheduler: ServingEngine(
                 self.device, scheduler,
-                ServingOptions(
-                    compile_workers=1,
-                    compile_backoff_us=1_000.0,
-                    compile_cost=SignatureCompileCost(
-                        fixed_us=5_000.0, per_kernel_us=100.0),
-                    tuning=options),
-                tuning_fault=TunerFaultInjector(fault_signatures=99))
-            serving.register_model("case", executable)
-            tickets: list = []
-            scheduler.call_at(0.0, lambda: tickets.extend(
-                serving.submit("case", inputs) for _ in range(2)))
-            scheduler.call_at(1e8, lambda: tickets.append(
-                serving.submit("case", inputs)))
-            scheduler.run_until_idle()
-        except Exception as exc:  # noqa: BLE001
-            result.failures.append(Failure(
-                executor=TUNING_EXECUTOR, kind="exception",
-                detail=f"serving leg: {type(exc).__name__}: {exc}"))
+                replace(SERVING_OPTIONS, tuning=options),
+                tuning_fault=TunerFaultInjector(fault_signatures=99)),
+            [(0.0, lambda serving: [serving.submit("case", inputs)
+                                    for _ in range(2)]),
+             (1e8, lambda serving: [serving.submit("case", inputs)])],
+            label=lambda ticket: (f"request {ticket.request.id} under a "
+                                  f"tuner fault"))
+        if serving is None:
             return
-        for ticket in tickets:
-            result.failures.extend(_served_failures(
-                ticket.response, expected, TUNING_EXECUTOR,
-                f"request {ticket.request.id} under a tuner fault"))
         if serving.counters["tuning_faults"] < 1:
             result.failures.append(Failure(
                 executor=TUNING_EXECUTOR, kind="invariant",
                 detail="injected tuner fault never fired"))
-        signature = tickets[-1].request.signature if tickets else None
-        plan = serving.model("case").engine.peek_plan(signature) \
-            if signature is not None else None
+        signature = serving.model("case").engine.host_program.signature(
+            inputs)
+        plan = serving.model("case").engine.peek_plan(signature)
         if plan is None or plan.tuned:
             result.failures.append(Failure(
                 executor=TUNING_EXECUTOR, kind="invariant",

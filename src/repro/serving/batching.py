@@ -295,10 +295,11 @@ class BatchingServingEngine(ServingEngine):
                  scheduler: VirtualScheduler,
                  options: ServingOptions | None = None,
                  batching: BatchingOptions | None = None,
-                 compile_fault=None, tracer=None, *,
+                 compile_fault=None, tuning_fault=None, tracer=None, *,
                  name: str = "serving") -> None:
         super().__init__(device, scheduler, options,
-                         compile_fault=compile_fault, tracer=tracer,
+                         compile_fault=compile_fault,
+                         tuning_fault=tuning_fault, tracer=tracer,
                          name=name)
         self.batching = batching or BatchingOptions()
         if self.batching.pad_policy not in PAD_POLICIES:
@@ -490,9 +491,14 @@ class BatchingServingEngine(ServingEngine):
             item.padded, batch_size)
         plan = entry.engine.peek_batched(item.padded, batch_size)
         if plan is None:
+            # Background-compile the batched plan (a no-op once the pool
+            # has quarantined it) and serve the members solo meanwhile.
+            def install(attempt: int) -> None:
+                entry.engine.prepare_batched(item.padded, batch_size)
+
             key = (item.model, batched_sig)
-            if key not in self._quarantined:
-                self._ensure_batched_compile(entry, item, batch_size, key)
+            self.pool.ensure(key, self._compile_job(key, install),
+                             entry.compile_duration_us)
             self._explode(item, live)
             return
         tracer = self.tracer
@@ -517,21 +523,6 @@ class BatchingServingEngine(ServingEngine):
         self.scheduler.call_at(
             finish,
             lambda: self._complete_batch(live, outputs_list, stats))
-
-    def _ensure_batched_compile(self, entry, item: _Batch,
-                                batch_size: int, key: tuple) -> None:
-        """Background-compile the batched plan for ``key``."""
-        model = item.model
-        padded = item.padded
-
-        def run(attempt: int) -> None:
-            if self._compile_fault is not None:
-                self._compile_fault(model, key[1], attempt)
-            entry.engine.prepare_batched(padded, batch_size)
-
-        self.pool.ensure(
-            key, run, entry.compile_duration_us,
-            on_quarantine=lambda: self._quarantined.add(key))
 
     def _explode(self, item: _Batch, live: list) -> None:
         """Cold or quarantined batched plan: the members serve solo NOW.

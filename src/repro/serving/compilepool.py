@@ -4,7 +4,9 @@ Compilation in the serving runtime is asynchronous: the first request of
 a cold ``(model, signature)`` submits a compile job and is answered on
 the interpreter fallback; when the job completes it installs the launch
 plan into the engine's :class:`LaunchPlanCache` and later requests take
-the fast path.  The pool provides the robustness half of that story:
+the fast path.  The pool provides the robustness half of that story, and
+it is the only owner of a key's compile state — every serving path asks
+it whether a key compiles, retries or is quarantined:
 
 - **dedup / in-flight coalescing** — one job per key, ever; concurrent
   requests for a signature already compiling are coalesced (counted,
@@ -14,10 +16,14 @@ the fast path.  The pool provides the robustness half of that story:
   exactly as a real compile pool would;
 - **retry with exponential backoff** — :class:`TransientCompileError`
   re-queues the job after ``backoff_us * multiplier**attempt``;
-- **quarantine** — :class:`PermanentCompileError`, or exhausting the
-  retry budget, pins the key to the fallback path *forever*: the pool
-  refuses further submissions for it and the engine stops trying.
-  Compile errors degrade service; they never surface to a request.
+- **quarantine** — :class:`PermanentCompileError`, any other exception,
+  or exhausting the retry budget, pins the key to the fallback path
+  *forever*: the pool refuses further submissions for it and the engine
+  stops trying.  Compile errors degrade service; they never surface to
+  a request.
+
+:meth:`BackgroundCompilePool.compile_now` applies the same retry and
+quarantine rules inline, for the synchronous-compile baseline.
 
 The pool runs entirely on the injected scheduler — job completion is a
 scheduled event at ``start + duration`` — so its interleavings are as
@@ -26,11 +32,11 @@ deterministic as everything else in :mod:`repro.serving`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Hashable
 
-from ..obs.tracer import ROOT, resolve_tracer
+from ..obs.tracer import NULL_TRACER, ROOT, resolve_tracer
 from ..runtime.launchplan import _key_label
 from .scheduler import VirtualScheduler
 
@@ -96,7 +102,8 @@ class BackgroundCompilePool:
 
     ``run`` callbacks receive the attempt index (0-based) and either
     return normally (the plan is installed by the callback itself) or
-    raise one of the compile errors above.
+    raise: a :class:`TransientCompileError` retries, anything else
+    quarantines.
     """
 
     def __init__(self, scheduler: VirtualScheduler, workers: int = 2,
@@ -126,11 +133,15 @@ class BackgroundCompilePool:
     def record(self, key: Hashable) -> _Record | None:
         return self._records.get(key)
 
+    def quarantined_keys(self) -> set:
+        """Every key the pool has pinned to the fallback path."""
+        return {key for key, record in self._records.items()
+                if record.state is CompileState.QUARANTINED}
+
     # -- submission --------------------------------------------------------
 
     def ensure(self, key: Hashable, run: Callable[[int], None],
-               duration_us: float,
-               on_quarantine: Callable[[], None] | None = None) -> bool:
+               duration_us: float) -> bool:
         """Make sure a compile for ``key`` is running or finished.
 
         Returns True if this call started a job; False if it coalesced
@@ -153,13 +164,31 @@ class BackgroundCompilePool:
             # and wants it re-frozen: fall through and resubmit.
         self._records[key] = record = _Record(CompileState.COMPILING)
         self.stats.jobs_submitted += 1
-        self._start_attempt(key, record, run, duration_us, on_quarantine)
+        self._start_attempt(key, record, run, duration_us)
         return True
+
+    def compile_now(self, key: Hashable, run: Callable[[int], None],
+                    duration_us: float) -> float:
+        """Compile ``key`` inline and return the stall it cost.
+
+        The synchronous-compile baseline: every attempt stalls the
+        caller ``duration_us`` — no worker slot, no backoff — under the
+        same retry budget and failure rules as :meth:`ensure`, and ends
+        with the key READY or QUARANTINED.  It records no spans or
+        events; the caller's own span covers the stall.
+        """
+        self._records[key] = record = _Record(CompileState.COMPILING)
+        self.stats.jobs_submitted += 1
+        stall_us = 0.0
+        retry = True
+        while retry:
+            stall_us += duration_us
+            retry = self._attempt(key, record, run, None, NULL_TRACER)
+        return stall_us
 
     # -- internals ---------------------------------------------------------
 
-    def _start_attempt(self, key, record, run, duration_us,
-                       on_quarantine) -> None:
+    def _start_attempt(self, key, record, run, duration_us) -> None:
         now = self.scheduler.now_us()
         worker = min(range(len(self._free_at_us)),
                      key=lambda i: self._free_at_us[i])
@@ -175,47 +204,53 @@ class BackgroundCompilePool:
         self.scheduler.call_at(
             finish,
             lambda: self._finish_attempt(key, record, run, duration_us,
-                                         on_quarantine, span))
+                                         span))
 
     def _finish_attempt(self, key, record, run, duration_us,
-                        on_quarantine, span=None) -> None:
+                        span) -> None:
+        attempt = record.attempts
+        if self._attempt(key, record, run, span, self.tracer):
+            self.scheduler.call_after(
+                self.backoff_us * self.backoff_multiplier ** attempt,
+                lambda: self._start_attempt(key, record, run,
+                                            duration_us))
+
+    def _attempt(self, key, record: _Record, run, span, tracer) -> bool:
+        """Run one attempt and settle its outcome; True = retry it.
+
+        This is the one place a compile outcome is decided.  A
+        :class:`TransientCompileError` retries until ``max_retries`` is
+        spent; a :class:`PermanentCompileError` — or any other
+        exception, which no retry is known to fix — quarantines.
+        """
         attempt = record.attempts
         record.attempts += 1
         try:
             run(attempt)
         except TransientCompileError:
             self.stats.transient_failures += 1
-            self.tracer.end(span, outcome="transient_failure")
-            if record.attempts > self.max_retries:
-                self._quarantine(key, record, on_quarantine)
-                return
-            backoff = (self.backoff_us
-                       * self.backoff_multiplier ** attempt)
-            self.scheduler.call_after(
-                backoff,
-                lambda: self._start_attempt(key, record, run, duration_us,
-                                            on_quarantine))
-            return
+            tracer.end(span, outcome="transient_failure")
+            if record.attempts <= self.max_retries:
+                return True
         except PermanentCompileError:
             self.stats.permanent_failures += 1
-            self.tracer.end(span, outcome="permanent_failure")
-            self._quarantine(key, record, on_quarantine)
-            return
-        record.state = CompileState.READY
-        record.finished_at_us = self.scheduler.now_us()
-        self.stats.compiles_succeeded += 1
-        self.tracer.end(span, outcome="ready")
-        if self.tracer.enabled:
-            self.tracer.event("compile:ready", parent=ROOT,
-                              key=_key_label(key))
-
-    def _quarantine(self, key, record: _Record,
-                    on_quarantine: Callable[[], None] | None) -> None:
+            tracer.end(span, outcome="permanent_failure")
+        except Exception as exc:  # noqa: BLE001 - contained, quarantines
+            self.stats.permanent_failures += 1
+            tracer.end(span, outcome="error", error=type(exc).__name__)
+        else:
+            record.state = CompileState.READY
+            record.finished_at_us = self.scheduler.now_us()
+            self.stats.compiles_succeeded += 1
+            tracer.end(span, outcome="ready")
+            if tracer.enabled:
+                tracer.event("compile:ready", parent=ROOT,
+                             key=_key_label(key))
+            return False
         record.state = CompileState.QUARANTINED
         record.finished_at_us = self.scheduler.now_us()
         self.stats.quarantined += 1
-        if self.tracer.enabled:
-            self.tracer.event("compile:quarantine", parent=ROOT,
-                              key=_key_label(key))
-        if on_quarantine is not None:
-            on_quarantine()
+        if tracer.enabled:
+            tracer.event("compile:quarantine", parent=ROOT,
+                         key=_key_label(key))
+        return False

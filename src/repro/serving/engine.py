@@ -198,7 +198,7 @@ class PathRouter:
             outputs, stats = entry.engine.run(request.inputs)
             return "fast", outputs, stats, stats.total_time_us
 
-        if key in engine._quarantined:
+        if engine.pool.state(key) is CompileState.QUARANTINED:
             if tracer.enabled:
                 tracer.event("serving:route", path="quarantined")
             with tracer.span("fallback:run"):
@@ -221,33 +221,18 @@ class PathRouter:
                             key: tuple) -> tuple:
         """Synchronous-compile baseline: the compile stalls the server.
 
-        Faults behave as in the async path — transient failures retry
-        (each attempt stalls another compile duration), permanent or
-        exhausted ones quarantine and the request is served eagerly —
-        so errors never reach the response in either mode.
+        The pool runs the attempts inline under its usual retry and
+        quarantine rules (each attempt stalls another compile duration);
+        a quarantined key is served eagerly, so errors never reach the
+        response in either mode.
         """
         engine = self.engine
-        stall_us = 0.0
-        attempt = 0
-        while True:
-            stall_us += entry.compile_duration_us
-            try:
-                if engine._compile_fault is not None:
-                    engine._compile_fault(request.model, request.signature,
-                                          attempt)
-                break
-            except TransientCompileError:
-                attempt += 1
-                if attempt > engine.options.max_compile_retries:
-                    engine._quarantined.add(key)
-                    outputs, stats = entry.fallback.run(request.inputs)
-                    return ("quarantined", outputs, stats,
-                            stall_us + stats.total_time_us)
-            except PermanentCompileError:
-                engine._quarantined.add(key)
-                outputs, stats = entry.fallback.run(request.inputs)
-                return ("quarantined", outputs, stats,
-                        stall_us + stats.total_time_us)
+        stall_us = engine.pool.compile_now(
+            key, engine._compile_job(key), entry.compile_duration_us)
+        if engine.pool.state(key) is CompileState.QUARANTINED:
+            outputs, stats = entry.fallback.run(request.inputs)
+            return ("quarantined", outputs, stats,
+                    stall_us + stats.total_time_us)
         engine.counters["sync_compile_stalls"] += 1
         engine.counters["sync_stall_us"] += stall_us
         outputs, stats = entry.engine.run(request.inputs)
@@ -269,9 +254,7 @@ class PathRouter:
         inputs = request.inputs
         model, signature = key
 
-        def run(attempt: int) -> None:
-            if engine._compile_fault is not None:
-                engine._compile_fault(model, signature, attempt)
+        def install(attempt: int) -> None:
             tuner = engine.tuner
             if tuner is not None \
                     and key not in engine._tuning_quarantined:
@@ -300,9 +283,7 @@ class PathRouter:
         if engine.tuner is not None \
                 and key not in engine._tuning_quarantined:
             duration += entry.tuning_duration_us
-        engine.pool.ensure(
-            key, run, duration,
-            on_quarantine=lambda: engine._quarantined.add(key))
+        engine.pool.ensure(key, engine._compile_job(key, install), duration)
 
 
 class ServingEngine:
@@ -346,10 +327,6 @@ class ServingEngine:
             backoff_us=self.options.compile_backoff_us,
             backoff_multiplier=self.options.backoff_multiplier,
             tracer=tracer)
-        #: False once :meth:`adopt_pool` swaps in a pool owned elsewhere
-        #: (fleet shared-pool mode); stats then mark the pool shared so
-        #: aggregation counts its jobs once, not once per replica.
-        self.owns_pool = True
         self._compile_fault = compile_fault
         self._tuning_fault = tuning_fault
         #: the background schedule autotuner (None = heuristics only).
@@ -363,7 +340,6 @@ class ServingEngine:
         self._next_id = 0
         #: every response, in the order they went out (OK + timeout + shed).
         self.completed: list[Response] = []
-        self._quarantined: set[tuple] = set()
         #: keys whose schedule search faulted: they keep compiling and
         #: serving, on heuristic picks only.
         self._tuning_quarantined: set[tuple] = set()
@@ -380,22 +356,7 @@ class ServingEngine:
             "spent_us": 0.0, "enumerated": 0, "pruned": 0, "scored": 0,
             "kernels": 0, "improved": 0,
         }
-        self.router = self._make_router()
-
-    def _make_router(self) -> PathRouter:
-        """Factory seam: subclasses may install a richer router."""
-        return PathRouter(self)
-
-    def adopt_pool(self, pool: BackgroundCompilePool) -> None:
-        """Replace the engine's private compile pool with a shared one.
-
-        Fleet shared-pool mode: N replicas compile through one
-        :class:`BackgroundCompilePool`, so identical (model, signature)
-        jobs coalesce across replicas instead of compiling N times.
-        Must run before any request is submitted.
-        """
-        self.pool = pool
-        self.owns_pool = False
+        self.router = PathRouter(self)
 
     # -- registration ------------------------------------------------------
 
@@ -569,6 +530,27 @@ class ServingEngine:
         if ticket is not None:
             ticket.response = response
 
+    # -- compilation -------------------------------------------------------
+
+    def _compile_job(self, key: tuple,
+                     install: Callable[[int], None] | None = None
+                     ) -> Callable[[int], None]:
+        """The one compile job every path hands the pool for ``key``.
+
+        Each attempt runs the injected compile fault (if any), then
+        ``install(attempt)``, which freezes the plan.  Whether a failed
+        attempt retries or quarantines is the pool's decision alone.
+        """
+        model, signature = key
+
+        def run(attempt: int) -> None:
+            if self._compile_fault is not None:
+                self._compile_fault(model, signature, attempt)
+            if install is not None:
+                install(attempt)
+
+        return run
+
     # -- tuning accounting -------------------------------------------------
 
     def _note_tuning(self, result) -> None:
@@ -588,7 +570,7 @@ class ServingEngine:
     # -- reporting ---------------------------------------------------------
 
     def quarantined_signatures(self) -> set[tuple]:
-        return set(self._quarantined)
+        return self.pool.quarantined_keys()
 
     def tuning_quarantined_signatures(self) -> set[tuple]:
         return set(self._tuning_quarantined)
@@ -600,9 +582,8 @@ class ServingEngine:
         stats = {
             "name": self.name,
             "requests": dict(self.counters),
-            "pool": dict(self.pool.stats.as_dict(),
-                         shared=not self.owns_pool),
-            "quarantined_signatures": len(self._quarantined),
+            "pool": self.pool.stats.as_dict(),
+            "quarantined_signatures": len(self.pool.quarantined_keys()),
             "models": {name: entry.engine.plans.stats()
                        for name, entry in self._models.items()},
         }

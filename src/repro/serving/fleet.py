@@ -25,12 +25,8 @@ replica idle past ``idle_retire_us`` drains down to ``min_replicas``.
 The tick loop disarms when the fleet is idle at minimum size, so
 ``run_until_idle`` terminates.
 
-Compile pools come in two modes.  Per-replica (default): each replica
-owns its pool and its quarantine — a fault on one replica never taints
-another.  Shared: one :class:`BackgroundCompilePool` serves the whole
-fleet, identical (model, signature) jobs coalesce across replicas, and
-one compile installs the plan on *every* active replica (quarantine is
-then fleet-wide by construction).
+Each replica owns its compile pool, and with it its compile state and
+quarantine: a fault on one replica never taints another.
 
 Everything runs on the injectable clock/scheduler; ``fleet.events`` is
 an exact per-event transcript (route decisions, queue-depth snapshots,
@@ -54,9 +50,8 @@ from ..obs.tracer import resolve_tracer
 from ..runtime.executable import Executable
 from ..runtime.launchplan import format_signature
 from .batching import BatchingOptions, BatchingServingEngine
-from .compilepool import BackgroundCompilePool
-from .engine import (PathRouter, Request, Response, ResponseStatus,
-                     ServingEngine, ServingOptions, Ticket)
+from .engine import (Request, Response, ResponseStatus, ServingEngine,
+                     ServingOptions, Ticket)
 from .router import (AdmissionController, RouteDecision, RoutingPolicy,
                      make_policy)
 from .scheduler import VirtualScheduler
@@ -115,9 +110,6 @@ class FleetOptions:
     #: affinity only: queue depth at which requests spill off the
     #: affine replica to the least-loaded one.
     affinity_spill_depth: int = 8
-    #: one compile pool for the whole fleet (coalesces identical jobs
-    #: across replicas) instead of one pool per replica.
-    shared_compile_pool: bool = False
     #: tenant -> (rate_per_s, burst) token-bucket quotas.
     tenant_quotas: Mapping[str, tuple[float, float]] | None = None
     #: quota applied to tenants not listed (None = unmetered).
@@ -210,24 +202,6 @@ class _Replica:
                 and entry.engine.peek_plan(signature) is not None)
 
 
-class _SharedPoolRouter(PathRouter):
-    """Replica router for shared-pool mode.
-
-    Compiles go to the fleet's one pool under the same (model,
-    signature) key every replica uses, so concurrent cold requests on
-    different replicas coalesce into a single job — and that job
-    installs the finished plan on *every* active replica, not just the
-    one that tripped it.  Quarantine is fleet-wide for the same reason.
-    """
-
-    def __init__(self, engine: ServingEngine, fleet: "FleetEngine") -> None:
-        super().__init__(engine)
-        self.fleet = fleet
-
-    def ensure_compile(self, entry, request: Request, key: tuple) -> None:
-        self.fleet._ensure_shared_compile(entry, request, key)
-
-
 class FleetEngine:
     """Routes requests for named models across a replica set."""
 
@@ -242,10 +216,6 @@ class FleetEngine:
         self.options = options or FleetOptions()
         if self.options.replicas < 1:
             raise ValueError("need at least one replica")
-        if (self.options.shared_compile_pool
-                and self.options.serving.tuning is not None):
-            raise ValueError("shared_compile_pool does not support "
-                             "schedule tuning; use per-replica pools")
         self.tracer = resolve_tracer(tracer)
         self._raw_tracer = tracer
         self.metrics = getattr(self.tracer, "metrics", None)
@@ -259,23 +229,6 @@ class FleetEngine:
             self.options.tenant_quotas, self.options.default_quota)
         self._compile_fault_factory = compile_fault_factory
         self._tuning_fault_factory = tuning_fault_factory
-        self._shared_pool = None
-        #: fault schedule of fleet-level (shared pool) compile jobs;
-        #: created once — injectors are stateful schedules.
-        self._shared_fault = (compile_fault_factory(-1)
-                              if compile_fault_factory is not None
-                              else None)
-        if self.options.shared_compile_pool:
-            serving = self.options.serving
-            self._shared_pool = BackgroundCompilePool(
-                scheduler,
-                workers=serving.compile_workers,
-                max_retries=serving.max_compile_retries,
-                backoff_us=serving.compile_backoff_us,
-                backoff_multiplier=serving.backoff_multiplier,
-                tracer=tracer)
-            #: keys quarantined fleet-wide; applied to scale-up replicas.
-            self._shared_quarantined: set[tuple] = set()
         #: model name -> (executable, compile_options) for replica boots.
         self._registry: dict[str, tuple[Executable,
                                         CompileOptions | None]] = {}
@@ -316,25 +269,22 @@ class FleetEngine:
         self._next_uid += 1
         name = f"r{uid}"
         serving = self.options.serving
-        fault = (self._compile_fault_factory(uid)
-                 if self._compile_fault_factory is not None else None)
+        faults = dict(
+            compile_fault=(self._compile_fault_factory(uid)
+                           if self._compile_fault_factory is not None
+                           else None),
+            tuning_fault=(self._tuning_fault_factory(uid)
+                          if self._tuning_fault_factory is not None
+                          else None))
         if self.options.batching is not None:
             engine = BatchingServingEngine(
                 self.device, self.scheduler, serving,
-                self.options.batching, compile_fault=fault,
-                tracer=self._raw_tracer, name=name)
+                self.options.batching, tracer=self._raw_tracer,
+                name=name, **faults)
         else:
-            tuning_fault = (self._tuning_fault_factory(uid)
-                            if self._tuning_fault_factory is not None
-                            else None)
             engine = ServingEngine(
                 self.device, self.scheduler, serving,
-                compile_fault=fault, tuning_fault=tuning_fault,
-                tracer=self._raw_tracer, name=name)
-        if self._shared_pool is not None:
-            engine.adopt_pool(self._shared_pool)
-            engine.router = _SharedPoolRouter(engine, self)
-            engine._quarantined.update(self._shared_quarantined)
+                tracer=self._raw_tracer, name=name, **faults)
         for model, (executable, compile_options) in self._registry.items():
             engine.register_model(model, executable, compile_options)
         now = self.scheduler.now_us()
@@ -549,33 +499,6 @@ class FleetEngine:
             if decision.spilled:
                 self.metrics.counter("fleet.affinity.spills").inc()
 
-    # -- shared-pool compiles ----------------------------------------------
-
-    def _ensure_shared_compile(self, entry, request: Request,
-                               key: tuple) -> None:
-        """One compile job for the whole fleet; installs everywhere."""
-        model, signature = key
-        inputs = request.inputs
-        fault = self._shared_fault
-
-        def run(attempt: int) -> None:
-            if fault is not None:
-                fault(model, signature, attempt)
-            for replica in self._replicas:
-                replica_entry = replica.engine._models.get(model)
-                if replica_entry is None:
-                    continue
-                if replica_entry.engine.peek_plan(signature) is None:
-                    replica_entry.engine.prepare(inputs, signature)
-
-        def on_quarantine() -> None:
-            self._shared_quarantined.add(key)
-            for replica in self._replicas:
-                replica.engine._quarantined.add(key)
-
-        self._shared_pool.ensure(key, run, entry.compile_duration_us,
-                                 on_quarantine=on_quarantine)
-
     # -- autoscaling -------------------------------------------------------
 
     def _arm_tick(self) -> None:
@@ -698,26 +621,19 @@ class FleetEngine:
         return [t.response for t in self.tickets if t.response is not None]
 
     def stats(self) -> dict:
-        """Fleet counters plus per-replica stats, pools deduplicated.
+        """Fleet counters plus per-replica stats.
 
         Relies on the namespaced per-replica ``ServingEngine.stats()``:
-        request counters sum across replicas, while pool stats are
-        aggregated by pool *identity*, so a shared pool's compile jobs
-        count once instead of once per replica.
+        request counters and pool stats sum across replicas.
         """
         per_replica = {r.name: r.engine.stats()
                        for r in self._replicas + self.retired}
         requests: dict = {}
+        pool: dict = {}
         for stats in per_replica.values():
             for key, value in stats["requests"].items():
                 requests[key] = requests.get(key, 0) + value
-        pools: dict[int, dict] = {}
-        for replica in self._replicas + self.retired:
-            pools[id(replica.engine.pool)] = \
-                replica.engine.pool.stats.as_dict()
-        pool: dict = {}
-        for stats in pools.values():
-            for key, value in stats.items():
+            for key, value in stats["pool"].items():
                 pool[key] = pool.get(key, 0) + value
         footprint = self.replica_footprint_bytes()
         memory = {
@@ -735,8 +651,7 @@ class FleetEngine:
                 r.name: {"state": r.state.value, "routed": r.routed}
                 for r in self._replicas + self.retired},
             "requests": requests,
-            "pool": dict(pool, pools=len(pools),
-                         shared=self._shared_pool is not None),
+            "pool": pool,
             "admission": {"admitted": dict(self.admission.admitted),
                           "shed": dict(self.admission.shed)},
             "per_replica": per_replica,

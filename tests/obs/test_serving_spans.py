@@ -178,3 +178,20 @@ def test_serving_trace_is_balanced_and_contained(toy_exe, rng):
     assert check_containment(spans) == []
     # every request span closed with a status
     assert all("status" in r.attrs for r in spans.named("request"))
+
+
+def test_unknown_exception_ends_the_attempt_span_as_an_error(toy_exe, rng):
+    def fault(model, signature, attempt):
+        raise ValueError("injected non-compile fault")
+
+    scheduler, tracer, serving = make_traced_serving(
+        toy_exe, seed=1, compile_fault=fault)
+    cold = serving.submit("mlp", toy_mlp_inputs(rng, 3, 5))
+    scheduler.run_until_idle()
+
+    assert cold.response.ok
+    attempt = tracer.spans.one("compile:attempt")
+    assert attempt.attrs["outcome"] == "error"
+    assert attempt.attrs["error"] == "ValueError"
+    assert tracer.spans.one("compile:quarantine").start_us == \
+        attempt.end_us

@@ -329,9 +329,9 @@ def test_fleet_quarantine_stays_on_the_faulted_replica(path):
 
     r0, r1 = fleet.replica("r0"), fleet.replica("r1")
     sig = tickets[0].request.signature
-    assert ("case", sig) in r0.engine._quarantined, \
+    assert ("case", sig) in r0.engine.quarantined_signatures(), \
         "the faulted replica must quarantine the signature"
-    assert not r1.engine._quarantined, \
+    assert not r1.engine.quarantined_signatures(), \
         "quarantine leaked to a healthy replica"
     assert r0.engine.pool.stats.jobs_submitted == 1, \
         "quarantine must stop recompilation on the faulted replica"

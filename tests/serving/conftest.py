@@ -58,7 +58,7 @@ def make_batching(exe, seed=0, compile_fault=None, batching=None,
 
 
 def make_fleet(exe, seed=0, compile_fault_factory=None, tracer=None,
-               fleet=None, **serving_overrides):
+               fleet=None, tuning_fault_factory=None, **serving_overrides):
     """A (scheduler, fleet) pair with the toy model registered.
 
     ``fleet`` holds :class:`FleetOptions` field overrides (replicas,
@@ -71,6 +71,7 @@ def make_fleet(exe, seed=0, compile_fault_factory=None, tracer=None,
     scheduler = VirtualScheduler(seed=seed)
     engine = FleetEngine(A10, scheduler, options,
                          compile_fault_factory=compile_fault_factory,
+                         tuning_fault_factory=tuning_fault_factory,
                          tracer=tracer)
     engine.register_model("mlp", exe)
     return scheduler, engine

@@ -1,4 +1,4 @@
-"""The fleet suite: routing, quotas, autoscaling, shared pools, replay.
+"""The fleet suite: routing, quotas, autoscaling, compile pools, replay.
 
 Exact virtual-time tests throughout — every assertion is on precise
 counters, replica names, and transcript events, never on "roughly".
@@ -14,15 +14,16 @@ import pytest
 from repro.core import compile_graph
 from repro.core.pipeline import CompileOptions
 from repro.device import A10
-from repro.fuzz import CompileFaultInjector
+from repro.fuzz import CompileFaultInjector, TunerFaultInjector
 from repro.obs import MetricsRegistry, Tracer
 from repro.runtime import ExecutionEngine, MemoryBudget
-from repro.serving import (Arrival, AutoscalerOptions, ClusterSim,
-                           FleetEngine, FleetOptions, ReplicaState,
+from repro.serving import (Arrival, AutoscalerOptions, BatchingOptions,
+                           ClusterSim, FleetEngine, FleetOptions, ReplicaState,
                            ResponseStatus, ServingOptions,
                            SignatureAffinityPolicy, TenantTraffic,
                            TokenBucket, VirtualClock, VirtualScheduler,
                            poisson_arrivals)
+from repro.tuning import TuningOptions
 
 from ..conftest import toy_mlp_graph, toy_mlp_inputs
 from .conftest import FAST_COMPILE, bit_identical, make_fleet
@@ -381,50 +382,6 @@ def test_draining_the_last_active_replica_is_refused(toy_exe):
 # -- compile pools ---------------------------------------------------------
 
 
-def test_shared_pool_coalesces_identical_compiles_across_replicas(
-        toy_exe, inputs_a):
-    scheduler, fleet = make_fleet(
-        toy_exe,
-        fleet={"replicas": 3, "policy": "round_robin",
-               "shared_compile_pool": True})
-    for _ in range(3):
-        scheduler.call_at(0.0, lambda: fleet.submit("mlp", inputs_a))
-    scheduler.run_until_idle()
-    pool = fleet.stats()["pool"]
-    assert pool["jobs_submitted"] == 1
-    assert pool["jobs_coalesced"] == 2
-    # One compile installed the plan on *every* replica.
-    signature = fleet.tickets[0].response.signature
-    for replica in fleet.replicas():
-        assert replica.warm("mlp", signature)
-    # A warm wave is served fast on all three.
-    warm = []
-    for _ in range(3):
-        scheduler.call_at(scheduler.now_us() + 1_000.0,
-                          lambda: warm.append(fleet.submit("mlp",
-                                                           inputs_a)))
-    scheduler.run_until_idle()
-    assert [t.response.path for t in warm] == ["fast"] * 3
-
-
-def test_shared_pool_quarantine_is_fleet_wide(toy_exe, inputs_a):
-    factory = lambda uid: CompileFaultInjector(permanent=True)
-    scheduler, fleet = make_fleet(
-        toy_exe, compile_fault_factory=factory,
-        fleet={"replicas": 2, "policy": "round_robin",
-               "shared_compile_pool": True})
-    tickets = []
-    for _ in range(4):
-        scheduler.call_at(0.0, lambda: tickets.append(
-            fleet.submit("mlp", inputs_a)))
-    scheduler.run_until_idle()
-    assert fleet.stats()["pool"]["quarantined"] == 1
-    key = ("mlp", tickets[0].response.signature)
-    for replica in fleet.replicas():
-        assert key in replica.engine._quarantined
-    assert all(t.response.ok for t in tickets)
-
-
 def test_per_replica_pools_keep_quarantine_local(toy_exe, inputs_a):
     factory = lambda uid: (CompileFaultInjector(permanent=True)
                            if uid == 0 else None)
@@ -438,8 +395,8 @@ def test_per_replica_pools_keep_quarantine_local(toy_exe, inputs_a):
     scheduler.run_until_idle()
     r0, r1 = fleet.replica("r0"), fleet.replica("r1")
     key = ("mlp", tickets[0].response.signature)
-    assert key in r0.engine._quarantined
-    assert not r1.engine._quarantined
+    assert key in r0.engine.quarantined_signatures()
+    assert not r1.engine.quarantined_signatures()
     # r1 compiled normally and serves the signature warm.
     assert r1.warm("mlp", key[1])
     assert not r0.warm("mlp", key[1])
@@ -449,30 +406,6 @@ def test_per_replica_pools_keep_quarantine_local(toy_exe, inputs_a):
     assert all(t.response.ok for t in tickets)
 
 
-def test_stats_namespace_replicas_and_dedup_shared_pool(
-        toy_exe, inputs_a):
-    scheduler, fleet = make_fleet(
-        toy_exe,
-        fleet={"replicas": 2, "policy": "round_robin",
-               "shared_compile_pool": True})
-    for _ in range(2):
-        scheduler.call_at(0.0, lambda: fleet.submit("mlp", inputs_a))
-    scheduler.run_until_idle()
-    stats = fleet.stats()
-    # Per-replica blocks carry their replica's name and mark the pool
-    # shared; the fleet aggregate counts the one pool once.
-    assert set(stats["per_replica"]) == {"r0", "r1"}
-    for name, block in stats["per_replica"].items():
-        assert block["name"] == name
-        assert block["pool"]["shared"] is True
-    assert stats["pool"]["pools"] == 1
-    assert stats["pool"]["jobs_submitted"] == 1
-    naive_sum = sum(block["pool"]["jobs_submitted"]
-                    for block in stats["per_replica"].values())
-    assert naive_sum == 2, "replicas see the shared pool's counters"
-    assert stats["requests"]["submitted"] == 2
-
-
 def test_private_pools_aggregate_by_sum(toy_exe, inputs_a, inputs_b):
     scheduler, fleet = make_fleet(
         toy_exe, fleet={"replicas": 2, "policy": "round_robin"})
@@ -480,9 +413,35 @@ def test_private_pools_aggregate_by_sum(toy_exe, inputs_a, inputs_b):
     scheduler.call_at(0.0, lambda: fleet.submit("mlp", inputs_b))
     scheduler.run_until_idle()
     stats = fleet.stats()
-    assert stats["pool"]["pools"] == 2
-    assert stats["pool"]["shared"] is False
+    # Per-replica blocks carry their replica's name; the fleet
+    # aggregate sums the replicas' own pools.
+    assert set(stats["per_replica"]) == {"r0", "r1"}
+    for name, block in stats["per_replica"].items():
+        assert block["name"] == name
+        assert block["pool"]["jobs_submitted"] == 1
     assert stats["pool"]["jobs_submitted"] == 2
+    assert stats["requests"]["submitted"] == 2
+
+
+@pytest.mark.parametrize("batching", [False, True])
+def test_every_replica_kind_receives_its_tuner_faults(toy_exe, inputs_a,
+                                                      batching):
+    """The per-replica tuner-fault schedule reaches batching replicas
+    too: the search faults and is quarantined, the signature still
+    compiles (heuristic plan) and serves."""
+    scheduler, fleet = make_fleet(
+        toy_exe, tuning=TuningOptions(budget_us=50_000.0),
+        fleet={"replicas": 1,
+               "batching": BatchingOptions() if batching else None},
+        tuning_fault_factory=lambda uid: TunerFaultInjector())
+    ticket = fleet.submit("mlp", inputs_a)
+    scheduler.run_until_idle()
+    serving = fleet.replica("r0").engine
+    assert ticket.response.ok
+    assert serving.counters["tuning_faults"] == 1
+    assert serving.counters["tuned_signatures"] == 0
+    assert serving.tuning_quarantined_signatures() == {
+        ("mlp", ticket.request.signature)}
 
 
 # -- observability ---------------------------------------------------------
@@ -604,7 +563,7 @@ def test_seed_upholds_all_fleet_invariants(proven_exe, seed,
     # Fault schedules are per replica: only r0 can quarantine.
     for replica in run.fleet.replicas() + run.fleet.retired:
         if replica.name != "r0":
-            assert not replica.engine._quarantined
+            assert not replica.engine.quarantined_signatures()
     # The drained replica finished everything before retiring.
     drained = run.fleet.replica("r1")
     assert drained.state is ReplicaState.RETIRED

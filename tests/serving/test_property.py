@@ -129,13 +129,12 @@ def test_batched_responses_bit_identical_to_direct_engine(
        replicas=st.integers(min_value=1, max_value=4),
        policy=st.sampled_from(["affinity", "round_robin",
                                "least_outstanding"]),
-       shared_pool=st.booleans(),
        transient=st.integers(min_value=0, max_value=2),
        permanent_every=st.sampled_from([None, 2]),
        drain_mid_stream=st.booleans())
 def test_fleet_responses_bit_identical_to_direct_engine(
-        graph, seed, replicas, policy, shared_pool, transient,
-        permanent_every, drain_mid_stream):
+        graph, seed, replicas, policy, transient, permanent_every,
+        drain_mid_stream):
     """The fleet property: for any graph, any routing policy, any
     replica count, any per-replica compile-fault schedule, and a scale
     event mid-stream, every OK fleet response is bit-identical to a
@@ -146,8 +145,7 @@ def test_fleet_responses_bit_identical_to_direct_engine(
     faults = {}
 
     def fault_factory(uid):
-        # Every replica gets its own seeded schedule; uid -1 is the
-        # shared pool's fleet-level schedule.
+        # Every replica gets its own seeded schedule.
         return faults.setdefault(uid, CompileFaultInjector(
             transient_attempts=(transient + uid) % 3,
             permanent_every=permanent_every))
@@ -157,7 +155,6 @@ def test_fleet_responses_bit_identical_to_direct_engine(
         A10, scheduler,
         FleetOptions(
             replicas=replicas, policy=policy,
-            shared_compile_pool=shared_pool,
             serving=ServingOptions(
                 compile_workers=1 + seed % 3,
                 compile_backoff_us=500.0,

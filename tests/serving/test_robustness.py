@@ -215,3 +215,63 @@ def test_sync_mode_survives_permanent_faults(toy_exe, rng):
     assert second.response.ok and second.response.path == "quarantined"
     expected, _ = ExecutionEngine(toy_exe, A10).run(inputs)
     assert bit_identical(expected, first.response.outputs)
+
+
+# -- faults that are not compile errors -------------------------------------
+
+@pytest.mark.parametrize("background", [True, False])
+def test_unknown_compile_exception_quarantines(toy_exe, rng, background):
+    """An attempt that raises anything but a transient compile error is
+    permanent in both compile modes: nothing escapes the scheduler, the
+    key quarantines without a retry, and every request is answered OK
+    and bit-identical to a direct run."""
+    attempts = []
+
+    def fault(model, signature, attempt):
+        attempts.append(attempt)
+        raise ValueError("injected non-compile fault")
+
+    scheduler, serving = make_serving(toy_exe, seed=2, compile_fault=fault,
+                                      background_compile=background)
+    inputs = toy_mlp_inputs(rng, 3, 5)
+    first = serving.submit("mlp", inputs)
+    scheduler.run_until_idle()
+    later = [serving.submit("mlp", inputs) for _ in range(2)]
+    scheduler.run_until_idle()
+
+    assert first.response.path == ("fallback" if background
+                                   else "quarantined")
+    assert [t.response.path for t in later] == ["quarantined"] * 2
+    expected, _ = ExecutionEngine(toy_exe, A10).run(inputs)
+    for ticket in [first] + later:
+        assert ticket.response.ok
+        assert bit_identical(expected, ticket.response.outputs)
+    assert attempts == [0]
+    stats = serving.pool.stats
+    assert (stats.jobs_submitted, stats.permanent_failures,
+            stats.transient_failures, stats.quarantined) == (1, 1, 0, 1)
+    assert serving.quarantined_signatures() == {
+        ("mlp", first.request.signature)}
+    assert serving.counters["sync_compile_stalls"] == 0
+
+
+def test_sync_mode_retries_under_the_pool_policy(toy_exe, rng):
+    """The synchronous baseline retries exactly like a background job:
+    each attempt stalls one compile duration, and exhausting the budget
+    quarantines the key in the pool."""
+    fault = CompileFaultInjector(transient_attempts=99)
+    scheduler, serving = make_serving(toy_exe, seed=2, compile_fault=fault,
+                                      background_compile=False,
+                                      max_compile_retries=2)
+    inputs = toy_mlp_inputs(rng, 3, 5)
+    ticket = serving.submit("mlp", inputs)
+    scheduler.run_until_idle()
+    response = ticket.response
+    assert response.ok and response.path == "quarantined"
+    duration = serving.model("mlp").compile_duration_us
+    assert response.latency_us == \
+        3 * duration + response.stats.total_time_us
+    assert [call[2] for call in fault.calls] == [0, 1, 2]
+    assert serving.pool.stats.transient_failures == 3
+    assert serving.compile_state(
+        "mlp", ticket.request.signature) is CompileState.QUARANTINED
