@@ -9,7 +9,7 @@ simulated GPU substrate:
   compile-time/runtime combined code generation;
 - :mod:`repro.runtime` — the runtime abstraction layer (RAL);
 - :mod:`repro.serving` — concurrent serving runtime with background
-  compilation and an interpreter fallback path;
+  compilation and an eager fallback path;
 - :mod:`repro.tuning` — budgeted, cost-model-guided schedule autotuning
   whose winners freeze into cached launch plans;
 - :mod:`repro.device` — analytic A10/T4 GPU cost model;

@@ -130,9 +130,19 @@ class SimulatedBaseline(Executor):
 
     def run(self, inputs: Mapping[str, np.ndarray]
             ) -> tuple[list, RunStats]:
+        dims = self.program.bind(inputs)
+        stats = self.charge(inputs, dims)
+        return self.program.execute(inputs, dims), stats
+
+    def charge(self, inputs: Mapping[str, np.ndarray],
+               dims: dict) -> RunStats:
+        """The simulated cost of one call at ``dims``; runs no kernel.
+
+        ``inputs`` only key the per-signature compile policy.  A charge
+        counts as a call: it records the compiles it triggers.
+        """
         spec = self.spec
         stats = RunStats(cache_hit=True)
-        dims = self.program.bind(inputs)
         cost_dims = self._cost_dims(dims)
 
         self._charge_compilation(inputs, cost_dims, stats)
@@ -152,7 +162,7 @@ class SimulatedBaseline(Executor):
 
         if not spec.eager_dispatch:
             stats.host_time_us += spec.dispatch_us * stats.kernels_launched
-        return self.program.execute(inputs, dims), stats
+        return stats
 
     # -- cost policy ---------------------------------------------------------
 

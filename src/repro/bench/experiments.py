@@ -1244,7 +1244,7 @@ def e16_async_serving(device_name: str = "A10",
     - **sync compile** — every cold signature stalls the server for its
       compile (the per-shape JIT failure mode the paper targets);
     - **async + fallback** — cold signatures answer immediately on the
-      interpreter fallback while the background pool produces launch
+      eager fallback while the background pool produces launch
       plans; warm signatures replay plans;
     - **async + injected faults** — same, with every compile failing
       transiently once and every 4th signature permanently (quarantine);
@@ -1549,7 +1549,7 @@ def e18_fleet_routing(device_name: str = "A10",
     - **round_robin / least_outstanding** — signature-blind placement
       makes every replica see every signature: the LRU thrashes, evicted
       signatures recompile in the background while requests serve on the
-      eager interpreter (~7x the fused service time), utilisation
+      eager fallback (~7x the fused service time), utilisation
       crosses 1 and the queue — hence p99 — blows up.
 
     Affinity spill is disabled (``affinity_spill_depth`` huge) so the

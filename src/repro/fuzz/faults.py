@@ -14,7 +14,7 @@ plants two kinds:
 - :class:`CompileFaultInjector` fails *background compiles* in the serving
   runtime on a deterministic schedule — transient failures that must be
   retried away and permanent failures that must quarantine the signature
-  to the interpreter fallback, never surfacing to a response.
+  to the eager fallback, never surfacing to a response.
 """
 
 from __future__ import annotations
@@ -151,9 +151,8 @@ class CorruptedInterpreter(Interpreter):
     minimizer's test predicate uses.
     """
 
-    def __init__(self, graph: Graph, bad_op: str,
-                 check_shapes: bool = True) -> None:
-        super().__init__(graph, check_shapes)
+    def __init__(self, graph: Graph, bad_op: str) -> None:
+        super().__init__(graph)
         self.bad_op = bad_op
 
     def run(self, inputs: Mapping[str, np.ndarray]) -> list[np.ndarray]:
@@ -174,7 +173,7 @@ class CorruptedInterpreter(Interpreter):
             expected_np = node.dtype.to_numpy()
             if value.dtype != expected_np:
                 value = value.astype(expected_np)
-            if self.check_shapes and node.op != self.bad_op:
+            if node.op != self.bad_op:
                 unify_shape(node.shape, value.shape, bindings)
                 if is_static(node.shape):
                     expected = concretize_shape(node.shape, bindings)

@@ -3,23 +3,8 @@
 Evaluates a graph node-by-node in topological order using the numpy
 semantics from :mod:`repro.numerics`.  It performs no optimisation at all,
 which is exactly what makes it trustworthy: every compiled executor and
-every simulated baseline is tested against it.
-
-Beyond the reference role, the interpreter is also the serving runtime's
-*fallback executor* (:mod:`repro.serving`): while a signature's launch
-plan is still compiling in the background, requests are answered by
-interpreting the compiled executable's optimized graph.  Two extensions
-exist for that caller:
-
-- ``run(inputs, bindings=...)`` accepts pre-resolved dim bindings, so the
-  optimized graph — whose attributes mention *derived* symbols that only
-  :func:`repro.numerics.resolve.resolve_all_dims` can solve — interprets
-  exactly like the source graph;
-- ``kernel_layout=True`` reproduces the generated kernels' memory-layout
-  decisions (a transpose materialises a contiguous array rather than a
-  strided view), which keeps layout-sensitive library calls downstream
-  (``np.matmul``) *bit-identical* between the fallback path and the
-  compiled engine.
+every simulated baseline is tested against it.  It is only the reference;
+no serving path runs it.
 """
 
 from __future__ import annotations
@@ -43,33 +28,18 @@ class Interpreter:
     The interpreter validates runtime shapes against the IR's symbolic
     shapes as it goes, so a wrong shape-inference rule surfaces as an error
     here rather than as silently wrong data downstream.
-
-    ``kernel_layout`` makes layout-producing ops (``transpose``) return
-    contiguous arrays, matching what :mod:`repro.core.codegen` emits into
-    fused kernels; the values are unchanged, but layout-sensitive consumers
-    (BLAS ``matmul``) then round identically to the compiled engine.
     """
 
-    def __init__(self, graph: Graph, check_shapes: bool = True,
-                 kernel_layout: bool = False) -> None:
+    def __init__(self, graph: Graph) -> None:
         self.graph = graph
-        self.check_shapes = check_shapes
-        self.kernel_layout = kernel_layout
 
-    def run(self, inputs: Mapping[str, np.ndarray],
-            bindings: Mapping[str, int] | None = None) -> list[np.ndarray]:
+    def run(self, inputs: Mapping[str, np.ndarray]) -> list[np.ndarray]:
         """Evaluate the graph; returns output arrays in graph-output order.
 
-        ``bindings`` optionally supplies pre-resolved dim bindings (input
-        symbols *and* derived symbols).  Without it, bindings start from
-        the inputs' shapes and grow as symbols are first unified — enough
-        for source graphs, but optimized graphs whose attrs reference
-        derived symbols need the caller to resolve them first.
+        Bindings start from the inputs' shapes and grow as symbols are
+        first unified.
         """
-        if bindings is None:
-            bindings = bind_inputs(self.graph.params, inputs)
-        else:
-            bindings = dict(bindings)
+        bindings = bind_inputs(self.graph.params, inputs)
         env: dict[Node, np.ndarray] = {}
         for node in self.graph.nodes:
             if node.op == "parameter":
@@ -80,21 +50,18 @@ class Interpreter:
                 attrs = concretize_attrs(node, bindings,
                                          [a.shape for a in args])
                 value = np.asarray(apply_op(node.op, args, attrs))
-                if self.kernel_layout and node.op == "transpose":
-                    value = np.ascontiguousarray(value)
             expected_np = node.dtype.to_numpy()
             if value.dtype != expected_np:
                 value = value.astype(expected_np)
-            if self.check_shapes:
-                # Extend bindings with symbols first seen at this node
-                # (e.g. minted by concat/conv2d inference), then check.
-                unify_shape(node.shape, value.shape, bindings)
-                if is_static(node.shape):
-                    expected = concretize_shape(node.shape, bindings)
-                    if tuple(value.shape) != expected:
-                        raise RuntimeError(
-                            f"{node.short()}: computed shape "
-                            f"{value.shape} != inferred {expected}")
+            # Extend bindings with symbols first seen at this node
+            # (e.g. minted by concat/conv2d inference), then check.
+            unify_shape(node.shape, value.shape, bindings)
+            if is_static(node.shape):
+                expected = concretize_shape(node.shape, bindings)
+                if tuple(value.shape) != expected:
+                    raise RuntimeError(
+                        f"{node.short()}: computed shape "
+                        f"{value.shape} != inferred {expected}")
             env[node] = value
         return [env[out] for out in self.graph.outputs]
 

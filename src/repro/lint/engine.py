@@ -70,7 +70,7 @@ def lint_executable(executable, config=None,
     check_fusion_plan(executable.plan, config=config, sink=sink)
     check_buffer_plan(getattr(executable, "buffer_plan", None), sink,
                       imap=imap)
-    check_host_program(getattr(executable, "host_program", None), sink)
+    check_host_program(executable.host_program, sink)
     if imap is not None:
         check_plan_coverage(executable.graph, imap, sink)
         audit_stock_bucketer(executable.graph, imap, sink)

@@ -4,8 +4,7 @@ from .caches import make_signature_fn, shape_signature
 from .engine import (EngineOptions, ExecutionEngine,
                      LegacyExecutionEngine, charge_kernel)
 from .executable import CompileReport, Executable
-from .hostprog import (HostInstruction, HostProgram, lower_executable,
-                       lower_program)
+from .hostprog import HostInstruction, HostProgram, lower_program
 from .launchplan import (BatchLaunchPlan, LaunchPlan, LaunchPlanCache,
                          format_signature)
 from .memory import (BufferPlan, Interval, plan_buffers,
@@ -19,7 +18,7 @@ __all__ = [
     "EngineOptions", "ExecutionEngine", "LegacyExecutionEngine",
     "charge_kernel",
     "CompileReport", "Executable",
-    "HostInstruction", "HostProgram", "lower_executable", "lower_program",
+    "HostInstruction", "HostProgram", "lower_program",
     "BatchLaunchPlan", "LaunchPlan", "LaunchPlanCache", "format_signature",
     "BufferPlan", "Interval", "plan_buffers",
     "replan_peak_for_shape", "scale_batched_memory",

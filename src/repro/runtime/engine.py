@@ -37,7 +37,7 @@ from ..device.profiles import DeviceProfile
 from ..numerics.resolve import bind_inputs, resolve_all_dims
 from ..obs.tracer import resolve_tracer
 from .executable import Executable
-from .hostprog import HostProgram, lower_executable
+from .hostprog import HostProgram
 from .launchplan import (BatchLaunchPlan, LaunchPlan, LaunchPlanCache,
                          format_signature)
 from .memory import scale_batched_memory
@@ -72,10 +72,11 @@ def charge_kernel(kernel, dims: dict, stats: RunStats,
                   eager_dispatch_us: float | None = None):
     """Account one kernel launch into ``stats`` (simulated cost).
 
-    The one cost charge of the engines, the interpreter fallback and the
-    simulated baselines.  ``selector`` is the schedule selection seam
-    (None = dispatch-stub heuristics); the chosen variant of every
-    schedulable kernel is surfaced in ``stats.details["schedules"]``.
+    The one cost charge of the engines and the simulated baselines
+    (which the eager fallback reuses).  ``selector`` is the schedule
+    selection seam (None = dispatch-stub heuristics); the chosen variant
+    of every schedulable kernel is surfaced in
+    ``stats.details["schedules"]``.
     ``batch`` stacked members ride a leading dim through one launch:
     bytes, flops and parallel elements scale, the launch overhead and
     metadata/host work do not.  ``eager_dispatch_us`` serializes each
@@ -142,13 +143,7 @@ class ExecutionEngine:
         self.device = device
         self.options = options or EngineOptions()
         self.tracer = resolve_tracer(tracer)
-        program = getattr(executable, "host_program", None)
-        if program is None:
-            # Hand-assembled executables (tests, serde round-trips) are
-            # lowered on first use; the pipeline lowers at compile time.
-            program = lower_executable(executable)
-            executable.host_program = program
-        self.host_program: HostProgram = program
+        self.host_program: HostProgram = executable.host_program
         self.plans = plan_cache if plan_cache is not None else \
             LaunchPlanCache(self.options.plan_capacity,
                             tracer=tracer)

@@ -51,9 +51,9 @@ class Executable:
     #: slots lifted to every shape in the signature class, with an
     #: interval-valued peak the serving/fleet budgets consume.
     symbolic_plan: object
-    #: slot-addressed host program (see runtime.hostprog); the pipeline
-    #: lowers it at compile time, the engine lowers lazily if absent.
-    host_program: object = None
+    #: slot-addressed host program (see runtime.hostprog), lowered by
+    #: the pipeline at compile time.
+    host_program: object
 
     @property
     def params(self) -> Sequence[Node]:

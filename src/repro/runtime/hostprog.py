@@ -42,8 +42,7 @@ from ..numerics.resolve import (DimResolutionPlan, bind_inputs,
                                 bind_signature, build_resolution_plan)
 from .caches import make_signature_fn
 
-__all__ = ["HostInstruction", "HostProgram", "lower_program",
-           "lower_executable"]
+__all__ = ["HostInstruction", "HostProgram", "lower_program"]
 
 
 @dataclass(frozen=True)
@@ -276,10 +275,3 @@ def lower_program(graph, kernels: list, constants: dict,
         slot_of=slot_of,
         planned_slots=planned_slots,
     )
-
-
-def lower_executable(executable) -> HostProgram:
-    """Lower a compiled :class:`~repro.runtime.executable.Executable`."""
-    return lower_program(executable.graph, executable.kernels,
-                         executable.constants,
-                         buffer_plan=executable.buffer_plan)

@@ -7,17 +7,17 @@ This package provides it:
 
 - :class:`ServingEngine` — request intake, admission control, deadline
   timers, and per-request path selection (warm launch-plan replay /
-  interpreter fallback / synchronous-compile baseline);
+  eager fallback / synchronous-compile baseline);
 - :class:`BatchingServingEngine` — dynamic batching over
   constraint-compatible shape buckets (pad within a bucket, never
   across; one batched launch plan per bucket; bit-identical unbatching);
 - :class:`BackgroundCompilePool` — deduplicated, coalescing, bounded
   background compilation with retry-backoff and quarantine;
-- :class:`InterpreterFallback` — bit-identical interpreter serving with
-  an eager (PyTorch-style) cost model;
+- :class:`EagerFallback` — serves the compiled host program's outputs
+  at the PyTorch baseline's eager cost;
 - :class:`FleetEngine` — N replicas per model behind pluggable routing
   (signature affinity / round robin / least outstanding), per-tenant
-  token-bucket admission, shared or per-replica compile pools, and
+  token-bucket admission, per-replica compile pools, and
   metric-driven autoscaling (internals.md §15);
 - :class:`ClusterSim` — the deterministic cluster-simulation fixture:
   multi-tenant Poisson traces in, bit-for-bit replayable per-event
@@ -39,7 +39,7 @@ from .compilepool import (BackgroundCompilePool, CompileState,
                           TransientCompileError)
 from .engine import (PathRouter, Request, Response, ResponseStatus,
                      ServingEngine, ServingOptions, Ticket)
-from .fallback import FallbackOptions, InterpreterFallback
+from .fallback import EagerFallback
 from .fleet import (AutoscalerOptions, FleetEngine, FleetOptions,
                     FleetTicket, ReplicaState)
 from .router import (AdmissionController, LeastOutstandingPolicy,
@@ -59,12 +59,11 @@ __all__ = [
     "ClusterRun",
     "ClusterSim",
     "CompileState",
+    "EagerFallback",
     "EventHandle",
-    "FallbackOptions",
     "FleetEngine",
     "FleetOptions",
     "FleetTicket",
-    "InterpreterFallback",
     "LeastOutstandingPolicy",
     "PathRouter",
     "PermanentCompileError",

@@ -529,7 +529,7 @@ class BatchingServingEngine(ServingEngine):
 
         No member ever waits on a batched compile — the batch unrolls to
         the front of the queue and each request takes its usual solo
-        path (fast if its plan is warm, the interpreter fallback
+        path (fast if its plan is warm, the eager fallback
         otherwise).
         """
         self.counters["batches_exploded"] += 1

@@ -2,7 +2,7 @@
 
 Compilation in the serving runtime is asynchronous: the first request of
 a cold ``(model, signature)`` submits a compile job and is answered on
-the interpreter fallback; when the job completes it installs the launch
+the eager fallback; when the job completes it installs the launch
 plan into the engine's :class:`LaunchPlanCache` and later requests take
 the fast path.  The pool provides the robustness half of that story, and
 it is the only owner of a key's compile state — every serving path asks

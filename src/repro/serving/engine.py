@@ -11,7 +11,7 @@ request lifecycle (see internals.md §10):
 
   - warm signature → the :class:`ExecutionEngine` launch-plan replay
     path (fast);
-  - cold signature → answered on the interpreter fallback *now*, while
+  - cold signature → answered on the eager fallback *now*, while
     the background pool compiles the launch plan (submit or coalesce);
     a quarantined signature skips the pool and stays on the fallback;
   - cold with ``background_compile=False`` → the synchronous-compile
@@ -50,7 +50,7 @@ from ..tuning import ScheduleTuner, TuningOptions
 from .compilepool import (BackgroundCompilePool, CompileState,
                           PermanentCompileError, SignatureCompileCost,
                           TransientCompileError)
-from .fallback import FallbackOptions, InterpreterFallback
+from .fallback import EagerFallback
 from .scheduler import VirtualScheduler
 
 __all__ = ["PathRouter", "Request", "Response", "ResponseStatus",
@@ -86,7 +86,6 @@ class ServingOptions:
     background_compile: bool = True
     compile_cost: SignatureCompileCost = field(
         default_factory=SignatureCompileCost)
-    fallback: FallbackOptions = field(default_factory=FallbackOptions)
     engine: EngineOptions = field(default_factory=EngineOptions)
     #: lint gate applied when registering a model (OFF = skip).
     lint_level: LintLevel = LintLevel.OFF
@@ -382,8 +381,7 @@ class ServingEngine:
         engine = ExecutionEngine(executable, self.device,
                                  self.options.engine,
                                  tracer=self._raw_tracer)
-        fallback = InterpreterFallback(executable, self.device,
-                                       self.options.fallback)
+        fallback = EagerFallback(executable, self.device)
         duration = self.options.compile_cost.duration_us(
             len(executable.kernels))
         tuning_duration = 0.0

@@ -40,7 +40,6 @@ from ..device.compilecost import tuning_cost_us
 from ..device.cost import kernel_time_us, occupancy
 from ..device.profiles import DeviceProfile
 from ..ir.shapes import SymDim
-from ..numerics.resolve import bind_signature, resolve_all_dims
 from ..obs.tracer import resolve_tracer
 from .space import PRUNE_RULES, StrategySpace
 
@@ -271,8 +270,7 @@ class ScheduleTuner:
 
     def tune(self, executable, signature: tuple) -> TuningResult:
         """Search every schedulable kernel at ``signature``'s dims."""
-        dims = bind_signature(executable.params, signature)
-        resolve_all_dims(executable.graph.nodes, dims)
+        dims = executable.host_program.bind_signature(signature)
         return self.tune_dims(executable, dims, signature)
 
     def tune_class(self, executable,

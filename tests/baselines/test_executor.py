@@ -137,6 +137,29 @@ def test_fusion_config_controls_kernel_count(rng):
     assert s_none.kernels_launched > s_fused.kernels_launched
 
 
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"compile_policy": "per_bucket", "bucket": pow2_bucket},
+    {"eager_dispatch": True, "compile_policy": "none",
+     "compile_grade": None},
+])
+def test_charge_runs_no_kernel_and_matches_run(rng, monkeypatch, overrides):
+    b = toy_mlp_graph()
+    charged = SimulatedBaseline(b.graph, A10, spec(**overrides))
+    ran = SimulatedBaseline(b.graph, A10, spec(**overrides))
+
+    def refuse(args, dims):
+        raise AssertionError("charge executed a kernel")
+
+    for kernel in charged.kernels:
+        monkeypatch.setattr(kernel, "execute", refuse)
+    for batch, seq in [(3, 5), (3, 5), (4, 8)]:
+        inputs = toy_mlp_inputs(rng, batch, seq)
+        __, expected = ran.run(inputs)
+        dims = charged.program.bind(inputs)
+        assert charged.charge(inputs, dims) == expected
+
+
 def test_unknown_policy_rejected(rng):
     b = toy_mlp_graph()
     executor = SimulatedBaseline(b.graph, A10, spec(

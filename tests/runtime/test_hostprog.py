@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import compile_graph
-from repro.device import A10
 from repro.interp import evaluate
 from repro.numerics.resolve import BindingError
-from repro.runtime import (ExecutionEngine, HostProgram, lower_executable,
-                           shape_signature)
+from repro.runtime import HostProgram, shape_signature
 
 from ..conftest import toy_mlp_graph, toy_mlp_inputs
 
@@ -144,25 +142,6 @@ def test_signature_missing_param_raises_binding_error(program, rng):
     del inputs["w"]
     with pytest.raises(BindingError, match="'w'"):
         program.signature(inputs)
-
-
-def test_engine_lowers_lazily_and_memoizes():
-    exe = compile_graph(toy_mlp_graph().graph)
-    exe.host_program = None  # e.g. a serde round-trip or a hand build
-    first = ExecutionEngine(exe, A10)
-    assert exe.host_program is first.host_program
-    second = ExecutionEngine(exe, A10)
-    assert second.host_program is first.host_program
-
-
-def test_lower_executable_matches_the_pipeline_lowering(exe, program):
-    again = lower_executable(exe)
-    assert again.slot_of == program.slot_of
-    assert again.output_slots == program.output_slots
-    assert [(i.in_slots, i.out_slots, i.release)
-            for i in again.instructions] \
-        == [(i.in_slots, i.out_slots, i.release)
-            for i in program.instructions]
 
 
 def test_describe_lists_the_program(program):

@@ -1,4 +1,4 @@
-"""The interpreter fallback: bit-identical outputs, eager-shaped cost."""
+"""The eager fallback: bit-identical outputs, eager-shaped cost."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.core import compile_graph
 from repro.device import A10
 from repro.models import MODEL_BUILDERS
 from repro.runtime import ExecutionEngine
-from repro.serving import InterpreterFallback
+from repro.serving import EagerFallback
 
 from ..conftest import toy_mlp_inputs
 from ..models.test_zoo import small
@@ -15,13 +15,31 @@ from .conftest import bit_identical
 
 
 def test_outputs_bit_identical_to_engine(toy_exe, rng):
-    fallback = InterpreterFallback(toy_exe, A10)
+    fallback = EagerFallback(toy_exe, A10)
     engine = ExecutionEngine(toy_exe, A10)
     for batch, seq in [(1, 1), (3, 5), (3, 5), (8, 16)]:
         inputs = toy_mlp_inputs(rng, batch, seq)
         expected, _ = engine.run(inputs)
         got, _ = fallback.run(inputs)
         assert bit_identical(expected, got)
+
+
+def test_outputs_come_from_the_compiled_host_program(toy_exe, rng,
+                                                    monkeypatch):
+    """One executor: perturbing one compiled kernel changes the
+    fallback's outputs exactly as it changes the engine's."""
+    inputs = toy_mlp_inputs(rng, 3, 5)
+    fallback = EagerFallback(toy_exe, A10)
+    before, _ = fallback.run(inputs)
+    kernel = toy_exe.host_program.instructions[-1].kernel
+    execute = kernel.execute
+    monkeypatch.setattr(
+        kernel, "execute",
+        lambda args, dims: [value * 2 + 1 for value in execute(args, dims)])
+    expected, _ = ExecutionEngine(toy_exe, A10).run(inputs)
+    got, _ = fallback.run(inputs)
+    assert not bit_identical(before, got)
+    assert bit_identical(expected, got)
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
@@ -31,7 +49,7 @@ def test_zoo_models_bit_identical(name, rng):
     inputs = model.make_inputs(
         rng, **{axis: lo for axis, (lo, _) in model.axes.items()})
     expected, _ = ExecutionEngine(exe, A10).run(inputs)
-    got, _ = InterpreterFallback(exe, A10).run(inputs)
+    got, _ = EagerFallback(exe, A10).run(inputs)
     assert bit_identical(expected, got)
 
 
@@ -40,7 +58,7 @@ def test_eager_cost_slower_than_compiled(toy_exe, rng):
     launch per un-fused op dominates the fused engine's cost."""
     inputs = toy_mlp_inputs(rng, 3, 5)
     _, engine_stats = ExecutionEngine(toy_exe, A10).run(inputs)
-    _, fallback_stats = InterpreterFallback(toy_exe, A10).run(inputs)
+    _, fallback_stats = EagerFallback(toy_exe, A10).run(inputs)
     assert fallback_stats.kernels_launched > engine_stats.kernels_launched
     assert fallback_stats.total_time_us > engine_stats.total_time_us
     assert fallback_stats.compile_time_us == 0.0
@@ -48,7 +66,7 @@ def test_eager_cost_slower_than_compiled(toy_exe, rng):
 
 def test_cost_is_deterministic(toy_exe, rng):
     inputs = toy_mlp_inputs(rng, 2, 3)
-    fallback = InterpreterFallback(toy_exe, A10)
+    fallback = EagerFallback(toy_exe, A10)
     _, first = fallback.run(inputs)
     _, second = fallback.run(inputs)
     assert first == second
