@@ -3,7 +3,7 @@
 The E14 shape-diverse trace replayed through the *runtime*
 (``repro.serving``) under a virtual clock: synchronous per-signature
 compilation stalls the server behind every cold signature, background
-compilation answers cold requests on the interpreter fallback while the
+compilation answers cold requests on the eager fallback while the
 pool produces launch plans.  Claims: async-compile p99 strictly below
 synchronous-compile p99, and injected compile faults (transient retries
 + permanent quarantines) never surface an error to a request.

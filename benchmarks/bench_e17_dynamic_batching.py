@@ -17,8 +17,6 @@ A ``--quick`` run saves ``e17_dynamic_batching.quick.{json,txt}``, so it never
 overwrites the full run's artifact.
 """
 
-import json
-import os
 import sys
 
 import pytest
@@ -31,26 +29,19 @@ from repro.bench import (e17_dynamic_batching, format_dynamic_batching,
 REQUIRED_THROUGHPUT_GAIN = 2.0
 
 #: CI gate: batched p99 at the gate rate must stay within this factor
-#: of the E16 async-serving baseline p99 (the checked-in artifact).
+#: of the E16 async-serving baseline p99.
 E16_P99_HEADROOM = 1.5
+
+#: The E16 baseline the p99 gate was set against: the "async + fallback"
+#: p99 of E16's 60-query ``--quick`` run.  Pinned rather than read from
+#: ``results/e16_async_serving.json``, which holds the full 150-query run
+#: (p99 187,881 us, deeper into the compile backlog) and would loosen
+#: the bound about 2.1x.
+E16_ASYNC_P99_US = 89_802.0
 
 #: --quick (CI smoke): fewer queries and rates, same structure.
 QUICK_QUERIES = 120
 QUICK_RATES = [600.0, 2_000.0, 10_000.0]
-
-_E16_RESULTS = os.path.join(os.path.dirname(__file__), "results",
-                            "e16_async_serving.json")
-
-
-def e16_async_p99_us() -> float:
-    """The async+fallback p99 from the checked-in E16 artifact."""
-    with open(_E16_RESULTS) as handle:
-        e16 = json.load(handle)
-    for row in e16["rows"]:
-        if row["mode"] == "async + fallback":
-            return float(row["p99_us"])
-    raise AssertionError("E16 artifact has no 'async + fallback' row")
-
 
 def _row(result, mode, rate):
     return next(r for r in result["rows"]
@@ -76,7 +67,7 @@ def test_batched_throughput_at_least_doubles(experiment):
 def test_batched_p99_within_e16_async_baseline(experiment):
     gate = experiment["gate_rate_qps"]
     p99 = _row(experiment, "batched", gate)["p99_us"]
-    bound = E16_P99_HEADROOM * e16_async_p99_us()
+    bound = E16_P99_HEADROOM * E16_ASYNC_P99_US
     assert p99 <= bound, \
         f"batched p99 {p99:.0f}us exceeds {bound:.0f}us " \
         f"({E16_P99_HEADROOM}x the E16 async baseline)"
@@ -143,7 +134,7 @@ def main(argv=None) -> int:
                   f"(need >= {REQUIRED_THROUGHPUT_GAIN}x)")
             return 1
         p99 = _row(result, "batched", result["gate_rate_qps"])["p99_us"]
-        bound = E16_P99_HEADROOM * e16_async_p99_us()
+        bound = E16_P99_HEADROOM * E16_ASYNC_P99_US
         if p99 > bound:
             print(f"FAIL: batched p99 {p99:.0f}us exceeds {bound:.0f}us "
                   f"({E16_P99_HEADROOM}x the E16 async baseline)")
