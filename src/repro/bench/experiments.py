@@ -321,8 +321,14 @@ def format_codegen_strategies(result: dict) -> str:
 # E6 — compilation overhead per model
 # ---------------------------------------------------------------------------
 
-def e6_compile_overhead(models: list | None = None) -> dict:
-    """One-time compile cost and kernel counts for every zoo model."""
+#: bert depths of E6's compile-time sweep (``BENCH_MODELS`` bert width).
+E6_DEPTHS = (4, 12, 24)
+
+
+def e6_compile_overhead(models: list | None = None,
+                        depths: tuple = E6_DEPTHS) -> dict:
+    """One-time compile cost and kernel counts for every zoo model, plus
+    compile time per node for bert at each of ``depths`` layers."""
     model_names = models or list(BENCH_MODELS)
     rows = []
     for model_name in model_names:
@@ -351,7 +357,30 @@ def e6_compile_overhead(models: list | None = None) -> dict:
             "lint": "clean" if not lint["diagnostics"]
                     else ",".join(lint["codes"]),
         })
-    return {"experiment": "compile_overhead", "rows": rows}
+    return {"experiment": "compile_overhead", "rows": rows,
+            "depth": e6_depth_sweep(depths)}
+
+
+def e6_depth_sweep(depths: tuple = E6_DEPTHS, repeats: int = 3) -> list:
+    """Best-of-``repeats`` pipeline wall time of bert at each depth.
+
+    Compiling once per model is only cheap if compile time grows
+    linearly with the graph, so the row to watch is µs per node.
+    """
+    rows = []
+    for layers in depths:
+        model = build_model("bert", **{**BENCH_MODELS["bert"],
+                                       "layers": layers})
+        walls = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            executable = DiscCompiler(CompileOptions()).compile(model.graph)
+            walls.append(time.perf_counter() - start)
+        nodes = executable.report.num_nodes
+        rows.append({"layers": layers, "nodes": nodes,
+                     "pipeline_wall_s": min(walls),
+                     "us_per_node": min(walls) / nodes * 1e6})
+    return rows
 
 
 def format_compile_overhead(result: dict) -> str:
@@ -362,9 +391,17 @@ def format_compile_overhead(result: dict) -> str:
              r["simulated_compile_s"], r["analysis_ms"], r["dim_facts"],
              r["product_facts"], r.get("lint", "clean")]
             for r in result["rows"]]
-    return format_table(headers, rows,
+    text = format_table(headers, rows,
                         "Compilation overhead per model (compile once, "
                         "serve every shape)")
+    if not result.get("depth"):
+        return text
+    depth = format_table(
+        ["bert layers", "nodes", "pipeline wall (s)", "us/node"],
+        [[r["layers"], r["nodes"], r["pipeline_wall_s"], r["us_per_node"]]
+         for r in result["depth"]],
+        "Compile time versus depth (best of 3)")
+    return text + "\n\n" + depth
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +791,7 @@ def e10_placement_overhead(device_name: str = "A10",
             "mean_steady_us": timeline.mean_steady_us,
             "kernels_per_query": timeline.kernels / timeline.calls,
         })
-    analysis_rows = e6_compile_overhead()["rows"]
+    analysis_rows = e6_compile_overhead(depths=())["rows"]
     return {"experiment": "placement_overhead", "device": device_name,
             "placement_rows": rows, "analysis_rows": analysis_rows}
 

@@ -15,6 +15,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -47,9 +48,9 @@ class CostRecipe:
     domain: tuple | None = None
 
     def eval_bytes(self, dims: dict) -> tuple:
-        read = sum(int(np.prod(_shape(s, dims), initial=1)) * size
+        read = sum(math.prod(_shape(s, dims)) * size
                    for s, size in self.reads)
-        written = sum(int(np.prod(_shape(s, dims), initial=1)) * size
+        written = sum(math.prod(_shape(s, dims)) * size
                       for s, size in self.writes)
         return read, written
 
@@ -59,16 +60,15 @@ class CostRecipe:
             kind = term[0]
             if kind == "map":
                 __, shape, per_element = term
-                total += np.prod(_shape(shape, dims), initial=1) * \
-                    per_element
+                total += math.prod(_shape(shape, dims)) * per_element
             elif kind == "dot":
                 __, a, b = term
                 ca = _shape(a, dims)
                 cb = _shape(b, dims)
                 m, k = ca[-2], ca[-1]
                 n = cb[-1]
-                batch = int(np.prod(ca[:-2], initial=1))
-                batch = max(batch, int(np.prod(cb[:-2], initial=1)))
+                batch = math.prod(ca[:-2])
+                batch = max(batch, math.prod(cb[:-2]))
                 total += 2.0 * batch * m * k * n
             elif kind == "conv":
                 __, x, w, strides = term
@@ -119,12 +119,11 @@ class CompiledKernel:
         kind = self.recipe.domain[0]
         if kind == "loop":
             shape = _shape(self.recipe.domain[1], dims)
-            total = int(np.prod(shape, initial=1))
+            total = math.prod(shape)
             innermost = int(shape[-1]) if shape else 1
             return ("loop", total, innermost)
         if kind == "rows":
-            rows = int(np.prod(_shape(self.recipe.domain[1], dims),
-                               initial=1))
+            rows = math.prod(_shape(self.recipe.domain[1], dims))
             cols = int(_shape((self.recipe.domain[2],), dims)[0])
             return ("rows", rows, cols)
         return None
@@ -183,8 +182,7 @@ class CompiledKernel:
             a, b = self.library_dims
             ca = _shape(a, dims)
             cb = _shape(b, dims)
-            batch = max(int(np.prod(ca[:-2], initial=1)),
-                        int(np.prod(cb[:-2], initial=1)))
+            batch = max(math.prod(ca[:-2]), math.prod(cb[:-2]))
             m, k, n = ca[-2], ca[-1], cb[-1]
             efficiency = base_efficiency * library_efficiency(
                 batch * m, n, k) / 0.85
@@ -193,12 +191,11 @@ class CompiledKernel:
         elif schedule is not None and self.recipe.domain is not None:
             if self.recipe.domain[0] == "loop":
                 shape = _shape(self.recipe.domain[1], dims)
-                total = int(np.prod(shape, initial=1))
+                total = math.prod(shape)
                 eff, parallel = schedule.elementwise_profile(total)
                 efficiency = base_efficiency * eff
             else:
-                rows = int(np.prod(_shape(self.recipe.domain[1], dims),
-                                   initial=1))
+                rows = math.prod(_shape(self.recipe.domain[1], dims))
                 cols = int(_shape((self.recipe.domain[2],), dims)[0])
                 eff, parallel = schedule.reduction_profile(rows, cols)
                 efficiency = base_efficiency * eff

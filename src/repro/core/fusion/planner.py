@@ -48,10 +48,33 @@ class _Planner:
         self.analysis = analysis
         self.config = config
         self.users = graph.users()
+        self.position = {n: i for i, n in enumerate(graph.nodes)}
         self.assigned: dict[Node, int] = {}
         self.members: dict[int, list[Node]] = {}
         self.kinds: dict[int, FusionKind] = {}
         self._next_group = 0
+        # The cycle check works on a topological rank that puts each node
+        # just before its first user.  An edge always climbs, since a
+        # node's users come after it in graph order; unlike graph order,
+        # the rank keeps a constant-bias broadcast next to the consumer
+        # it feeds, so groups span few ranks.
+        last = len(graph.nodes)
+        order = sorted(graph.nodes, key=lambda n: (
+            min((self.position[u] for u in self.users[n]), default=last),
+            self.position[n]))
+        self.rank = {node: r for r, node in enumerate(order)}
+        #: rank -> the ranks of that node's users.
+        self._users_at = [[self.rank[u] for u in self.users[n]]
+                          for n in order]
+        #: rank -> id of the group holding that node, or None.
+        self._group_at: list = [None] * len(order)
+        #: group id -> its members' ranks.
+        self._ranks: dict[int, list[int]] = {}
+        # Fenwick tree over ranks: the prefix maximum up to rank r is the
+        # highest rank of any group whose lowest rank is at most r.  A
+        # merge only widens a span, so entries are raised and never
+        # removed: a merged-away span lies inside its successor's.
+        self._reach = [-1] * (len(order) + 1)
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -60,8 +83,11 @@ class _Planner:
         self._next_group += 1
         self.members[gid] = list(nodes)
         self.kinds[gid] = kind
-        for node in nodes:
+        ranks = self._ranks[gid] = [self.rank[node] for node in nodes]
+        for node, rank in zip(nodes, ranks):
             self.assigned[node] = gid
+            self._group_at[rank] = gid
+        self._widen(min(ranks), max(ranks))
         return gid
 
     def _merge_groups(self, into: int, other: int) -> None:
@@ -70,6 +96,33 @@ class _Planner:
         self.members[into].extend(self.members[other])
         del self.members[other]
         del self.kinds[other]
+        ranks, moved = self._ranks[into], self._ranks.pop(other)
+        for rank in moved:
+            self._group_at[rank] = into
+        ranks.extend(moved)
+        self._widen(min(ranks), max(ranks))
+
+    def _widen(self, lo: int, hi: int) -> None:
+        """Record a group spanning ranks ``lo..hi``."""
+        reach = self._reach
+        i = lo + 1
+        while i < len(reach):
+            if reach[i] < hi:
+                reach[i] = hi
+            i += i & -i
+
+    def _closed_bound(self, bound: int) -> int:
+        """The least rank ``>= bound`` that no group's span straddles."""
+        reach = self._reach
+        while True:
+            top, i = bound, bound + 1
+            while i:
+                if reach[i] > top:
+                    top = reach[i]
+                i &= i - 1
+            if top == bound:
+                return bound
+            bound = top
 
     def _would_cycle(self, a_members: set, b_members: set) -> bool:
         """True iff fusing ``a_members | b_members`` into one group would
@@ -78,29 +131,35 @@ class _Planner:
         are expanded to their whole group — two co-members are mutually
         reachable in the contracted graph without any edge between them,
         which a plain node-level reachability check cannot see.
+
+        The walk skips every node ranked past a bound no path comes back
+        under.  Edges only climb in rank and only a jump within a group
+        descends, so the bound starts at the union's highest rank and is
+        raised over every group that straddles it.  Past the closed
+        bound no group reaches back below it, so no path does either.
         """
-        union = a_members | b_members
-        stack: list = []
-        for node in union:
-            for user in self.users.get(node, ()):
-                if user not in union:
-                    stack.append(user)
+        rank = self.rank
+        union = {rank[node] for node in a_members}
+        union.update(rank[node] for node in b_members)
+        bound = self._closed_bound(max(union))
+        users_at, group_at, ranks = \
+            self._users_at, self._group_at, self._ranks
+        stack = [user for r in union for user in users_at[r]
+                 if user not in union]
         seen: set = set()
         while stack:
-            node = stack.pop()
-            if node in union:
-                return True
-            if node in seen:
+            r = stack.pop()
+            if r > bound or r in seen:
                 continue
-            gid = self.assigned.get(node)
-            group = self.members[gid] if gid is not None else (node,)
-            for peer in group:
+            if r in union:
+                return True
+            gid = group_at[r]
+            for peer in ranks[gid] if gid is not None else (r,):
                 if peer in union:
                     return True
-                if peer in seen:
-                    continue
-                seen.add(peer)
-                stack.extend(self.users.get(peer, ()))
+                if peer not in seen:
+                    seen.add(peer)
+                    stack.extend(users_at[peer])
         return False
 
     # -- driver ------------------------------------------------------------
@@ -119,8 +178,7 @@ class _Planner:
         return FusionPlan(self.graph, groups)
 
     def _in_topo_order(self, nodes: list[Node]) -> list[Node]:
-        position = {n: i for i, n in enumerate(self.graph.nodes)}
-        return sorted(nodes, key=lambda n: position[n])
+        return sorted(nodes, key=self.position.__getitem__)
 
     # -- phase 1: kStitch ---------------------------------------------------
 

@@ -6,7 +6,8 @@ parameters, its designated outputs, and the :class:`SymbolTable` from which
 every symbolic dim in the graph is drawn.
 
 Mutation model: passes either (a) build a fresh graph via rewriting, or (b)
-use the in-place helpers ``replace_all_uses`` + ``prune`` for local rewrites.
+use the in-place helpers ``replace_all_uses`` (or its batched form
+``redirect``) + ``prune`` for local rewrites.
 Both keep the topological invariant.
 """
 
@@ -127,16 +128,31 @@ class Graph:
         Returns the number of use sites rewritten.  ``old`` itself stays in
         the node list until :meth:`prune` removes it if dead.
         """
-        if old is new:
+        return self.redirect({old: new})
+
+    def redirect(self, mapping: dict[Node, Node]) -> int:
+        """Redirect every use of each key of ``mapping`` (including
+        outputs) to its value, in one pass over the graph.
+
+        Returns the number of use sites rewritten.  A value is not looked
+        up again, so when no value is also a key this equals one
+        :meth:`replace_all_uses` call per entry.
+        """
+        # Keyed by identity: ``id`` is cheaper than ``Node.__hash__``.
+        targets = {id(old): new for old, new in mapping.items()
+                   if old is not new}
+        if not targets:
             return 0
         count = 0
         for node in self.nodes:
             for i, operand in enumerate(node.inputs):
-                if operand is old:
+                new = targets.get(id(operand))
+                if new is not None:
                     node.inputs[i] = new
                     count += 1
         for i, out in enumerate(self.outputs):
-            if out is old:
+            new = targets.get(id(out))
+            if new is not None:
                 self.outputs[i] = new
                 count += 1
         return count

@@ -56,8 +56,9 @@ class CommonSubexpressionElimination(Pass):
                 removed += 1
             else:
                 seen[key] = node
-        for duplicate, keeper in canonical.items():
-            graph.replace_all_uses(duplicate, keeper)
+        # A keeper is never itself a duplicate, so one batched rewrite
+        # equals replacing each duplicate in turn.
+        graph.redirect(canonical)
         if removed:
             graph.prune()
             graph.normalize_order()

@@ -26,7 +26,7 @@ class LowerComposites(Pass):
 
     def run(self, graph: Graph) -> dict:
         builder = GraphBuilder(graph=graph)
-        lowered = 0
+        replacements: dict[Node, Node] = {}
         # Iterate over a snapshot: lowering appends new nodes to the list.
         for node in list(graph.nodes):
             if node.op == "softmax":
@@ -37,8 +37,11 @@ class LowerComposites(Pass):
                 replacement = _lower_gelu(builder, node)
             else:
                 continue
-            graph.replace_all_uses(node, replacement)
-            lowered += 1
+            replacements[node] = replacement
+        # Replacements are fresh nodes, never composites, so one batched
+        # rewrite equals replacing each composite as it is lowered.
+        graph.redirect(replacements)
+        lowered = len(replacements)
         if lowered:
             graph.prune()
             graph.normalize_order()

@@ -54,7 +54,7 @@ class Interval:
 
 def value_bytes(shape: tuple, dtype_size: int, dims: dict) -> int:
     """Bytes of one value of serialized ``shape`` at concrete ``dims``."""
-    return int(np.prod(_shape(shape, dims), initial=1)) * dtype_size
+    return math.prod(_shape(shape, dims)) * dtype_size
 
 
 class BufferPlan:

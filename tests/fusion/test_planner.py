@@ -158,3 +158,29 @@ def test_unlowered_composites_become_singletons():
     p = plan(b2.graph, FusionConfig.none())
     ops = {g.members[0].op for g in p.groups}
     assert "softmax" in ops and "layer_norm" in ops
+
+
+def test_cycle_check_sees_a_group_straddling_its_bound():
+    """An early broadcast grouped with a late consumer: the group spans
+    past the union's highest rank, and the only path back into the union
+    is the jump from the late member down to the broadcast."""
+    from repro.core.fusion.planner import _Planner
+
+    from .cycle_reference import would_cycle_unpruned
+
+    b = GraphBuilder("straddle")
+    s = b.sym("s", hint=8)
+    x = b.parameter("x", (s, 8), f32)
+    bias = b.broadcast_to(b.scalar(2.0), (s, 8))
+    joined = b.add(x, bias)
+    early = b.exp(x)
+    late = b.neg(early)
+    b.outputs(joined, late)
+    planner = _Planner(b.graph, analyze_shapes(b.graph), FusionConfig())
+    rank = planner.rank
+    assert rank[bias] < rank[early] < rank[joined] < rank[late]
+    gid = planner._new_group(FusionKind.LOOP, [bias, late])
+    # early -> late ~ bias -> joined: fusing early with joined cycles.
+    assert would_cycle_unpruned(planner, {early}, {joined})
+    assert planner._would_cycle({early}, {joined})
+    assert not planner._would_cycle(set(planner.members[gid]), {joined})

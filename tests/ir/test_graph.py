@@ -49,6 +49,34 @@ def test_replace_in_outputs():
     assert b.graph.outputs == [s]
 
 
+def test_redirect_equals_sequential_replace_all_uses():
+    b = GraphBuilder("g")
+    x = b.parameter("x", (4, 8), f32)
+    e1, e2 = b.exp(x), b.exp(x)
+    n1, n2 = b.neg(e1), b.neg(e2)
+    m = b.mul(n1, n2)
+    b.outputs(m, e2, b.add(e2, e2), e2)
+    duplicates = {e2.id: e1.id, n2.id: n1.id}
+
+    def rewritten(batched: bool):
+        graph = b.graph.clone()
+        by_id = {node.id: node for node in graph}
+        mapping = {by_id[old]: by_id[new]
+                   for old, new in duplicates.items()}
+        if batched:
+            count = graph.redirect(mapping)
+        else:
+            count = sum(graph.replace_all_uses(old, new)
+                        for old, new in mapping.items())
+        return count, [[i.id for i in n.inputs] for n in graph], \
+            [o.id for o in graph.outputs]
+
+    count, inputs, outputs = rewritten(batched=True)
+    assert (count, inputs, outputs) == rewritten(batched=False)
+    assert count == 6
+    assert outputs == [m.id, e1.id, m.id + 1, e1.id]
+
+
 def test_prune_keeps_params():
     b = GraphBuilder("g")
     x = b.parameter("x", (4,), f32)

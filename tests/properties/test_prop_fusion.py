@@ -67,3 +67,46 @@ def test_fusion_never_changes_semantics(data, config):
         actual, __ = engine.run(inputs)
         for e, a in zip(expected, actual):
             assert np.allclose(e, a, atol=1e-4, rtol=1e-4)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_pruned_cycle_check_matches_the_unpruned_walk(data):
+    """Over any partial grouping, including merged groups, the rank-bounded
+    cycle check answers exactly what the unpruned walk answers."""
+    from repro.core.fusion import FusionKind
+    from repro.core.fusion.planner import _Planner
+
+    from ..fusion.cycle_reference import would_cycle_unpruned
+
+    graph = random_graph(data.draw)
+    planner = _Planner(graph, analyze_shapes(graph), FusionConfig())
+    nodes = list(graph.nodes)
+    draw_index = st.integers(0, len(nodes) - 1)
+    for _ in range(data.draw(st.integers(0, 4))):
+        picked = {nodes[i] for i in data.draw(st.lists(draw_index,
+                                                       max_size=4))}
+        picked -= planner.assigned.keys()
+        if picked:
+            planner._new_group(FusionKind.LOOP, list(picked))
+    for _ in range(data.draw(st.integers(0, 2))):
+        gids = sorted(planner.members)
+        if len(gids) >= 2:
+            into, other = data.draw(st.permutations(gids))[:2]
+            planner._merge_groups(into, other)
+
+    def operand():
+        """A whole group's members, or one unassigned node."""
+        free = [n for n in nodes if n not in planner.assigned]
+        choices = sorted(planner.members) + [-1 - i
+                                            for i in range(len(free))]
+        pick = data.draw(st.sampled_from(choices))
+        return set(planner.members[pick]) if pick >= 0 else {
+            free[-1 - pick]}
+
+    for _ in range(4):
+        a, b = operand(), operand()
+        if a & b:
+            continue
+        assert planner._would_cycle(a, b) == \
+            would_cycle_unpruned(planner, a, b)
