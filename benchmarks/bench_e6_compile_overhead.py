@@ -67,16 +67,13 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="bert only besides the depth sweep, with the "
                              "depth gate enforced")
-    parser.add_argument("--check", action="store_true",
-                        help="enforce the depth gate on a full run "
-                             "(implied by --quick)")
     args = parser.parse_args(argv)
 
     result = e6_compile_overhead(models=["bert"] if args.quick else None)
     name = "e6_compile_overhead" + (".quick" if args.quick else "")
     print_and_save(name, result, format_compile_overhead(result))
 
-    if args.quick or args.check:
+    if args.quick:
         ratio = depth_ratio(result)
         rows = sorted(result["depth"], key=lambda r: r["layers"])
         verdict = "OK" if ratio <= MAX_DEPTH_RATIO else "FAIL"

@@ -361,8 +361,8 @@ def e6_compile_overhead(models: list | None = None,
             "depth": e6_depth_sweep(depths)}
 
 
-def e6_depth_sweep(depths: tuple = E6_DEPTHS, repeats: int = 3) -> list:
-    """Best-of-``repeats`` pipeline wall time of bert at each depth.
+def e6_depth_sweep(depths: tuple = E6_DEPTHS) -> list:
+    """Best-of-3 pipeline wall time of bert at each depth.
 
     Compiling once per model is only cheap if compile time grows
     linearly with the graph, so the row to watch is µs per node.
@@ -372,7 +372,7 @@ def e6_depth_sweep(depths: tuple = E6_DEPTHS, repeats: int = 3) -> list:
         model = build_model("bert", **{**BENCH_MODELS["bert"],
                                        "layers": layers})
         walls = []
-        for _ in range(repeats):
+        for _ in range(3):
             start = time.perf_counter()
             executable = DiscCompiler(CompileOptions()).compile(model.graph)
             walls.append(time.perf_counter() - start)

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.core.fusion import FusionConfig, FusionKind, plan_fusion
+from repro.core.fusion.planner import _Planner
 from repro.core.symbolic import ConstraintLevel, analyze_shapes
 from repro.ir import GraphBuilder, f32
 from repro.passes import LowerComposites, PassManager, default_pipeline
 
 from ..conftest import toy_mlp_graph
+from .cycle_reference import would_cycle_unpruned
 
 
 def lowered_toy():
@@ -164,10 +166,6 @@ def test_cycle_check_sees_a_group_straddling_its_bound():
     """An early broadcast grouped with a late consumer: the group spans
     past the union's highest rank, and the only path back into the union
     is the jump from the late member down to the broadcast."""
-    from repro.core.fusion.planner import _Planner
-
-    from .cycle_reference import would_cycle_unpruned
-
     b = GraphBuilder("straddle")
     s = b.sym("s", hint=8)
     x = b.parameter("x", (s, 8), f32)

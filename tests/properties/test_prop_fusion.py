@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CompileOptions, compile_graph
-from repro.core.fusion import FusionConfig, plan_fusion
+from repro.core.fusion import FusionConfig, FusionKind, plan_fusion
+from repro.core.fusion.planner import _Planner
 from repro.core.symbolic import analyze_shapes
 from repro.device import A10
 from repro.interp import evaluate
 from repro.runtime import ExecutionEngine
 
+from ..fusion.cycle_reference import would_cycle_unpruned
 from ..strategies import random_graph
 
 
@@ -74,11 +76,6 @@ def test_fusion_never_changes_semantics(data, config):
 def test_pruned_cycle_check_matches_the_unpruned_walk(data):
     """Over any partial grouping, including merged groups, the rank-bounded
     cycle check answers exactly what the unpruned walk answers."""
-    from repro.core.fusion import FusionKind
-    from repro.core.fusion.planner import _Planner
-
-    from ..fusion.cycle_reference import would_cycle_unpruned
-
     graph = random_graph(data.draw)
     planner = _Planner(graph, analyze_shapes(graph), FusionConfig())
     nodes = list(graph.nodes)
@@ -95,17 +92,12 @@ def test_pruned_cycle_check_matches_the_unpruned_walk(data):
             into, other = data.draw(st.permutations(gids))[:2]
             planner._merge_groups(into, other)
 
-    def operand():
-        """A whole group's members, or one unassigned node."""
-        free = [n for n in nodes if n not in planner.assigned]
-        choices = sorted(planner.members) + [-1 - i
-                                            for i in range(len(free))]
-        pick = data.draw(st.sampled_from(choices))
-        return set(planner.members[pick]) if pick >= 0 else {
-            free[-1 - pick]}
-
+    # What the planner fuses: whole groups or single unassigned nodes.
+    operands = st.sampled_from(
+        [set(members) for members in planner.members.values()]
+        + [{n} for n in nodes if n not in planner.assigned])
     for _ in range(4):
-        a, b = operand(), operand()
+        a, b = data.draw(operands), data.draw(operands)
         if a & b:
             continue
         assert planner._would_cycle(a, b) == \
