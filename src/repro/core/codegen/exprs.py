@@ -4,6 +4,12 @@
 previously-defined value names.  Symbolic shapes in attributes are
 serialized as tuples of ``int | str`` (symbol name) and resolved by the
 support library against the per-call ``dims`` bindings.
+
+Cost recipes and buffer plans never walk those tuples per call: a
+serialized shape's element count is compiled once into a *monomial*
+``(coefficient, symbols)`` (:func:`shape_monomial`), and the per-call
+work is a few dict lookups and integer multiplications
+(:func:`monomial_value`, :func:`polynomial_value`).
 """
 
 from __future__ import annotations
@@ -11,12 +17,63 @@ from __future__ import annotations
 from ...ir.node import Node
 from ...ir.shapes import Dim, SymDim
 
-__all__ = ["emit_statement", "serialize_shape"]
+__all__ = ["emit_statement", "monomial_value", "polynomial_value",
+           "serialize_shape", "shape_monomial", "sum_monomials"]
 
 
 def serialize_shape(shape) -> tuple:
     """Symbolic shape -> literal tuple of ints and symbol-name strings."""
     return tuple(d.name if isinstance(d, SymDim) else int(d) for d in shape)
+
+
+# -- compiled shape arithmetic ----------------------------------------------
+
+def shape_monomial(template, scale: int = 1) -> tuple:
+    """A serialized shape's element count times ``scale``, compiled.
+
+    Returns ``(coefficient, symbols)``: the product of the static dims
+    and ``scale``, and the symbol names in sorted order (integer
+    products commute, so ``(s, t)`` and ``(t, s)`` compile alike).
+    """
+    coefficient = int(scale)
+    symbols = []
+    for dim in template:
+        if isinstance(dim, str):
+            symbols.append(dim)
+        else:
+            coefficient *= int(dim)
+    return coefficient, tuple(sorted(symbols))
+
+
+def monomial_value(monomial: tuple, dims: dict) -> int:
+    """Evaluate one compiled monomial at concrete ``dims``.
+
+    Every symbol is looked up and ``int``-coerced even when the
+    coefficient is zero, so an unbound symbol raises as it always did.
+    """
+    value, symbols = monomial
+    for name in symbols:
+        value *= int(dims[name])
+    return value
+
+
+def sum_monomials(monomials) -> tuple:
+    """Merge like terms of a sum of monomials (integer sums are exact)."""
+    merged: dict = {}
+    for coefficient, symbols in monomials:
+        merged[symbols] = merged.get(symbols, 0) + coefficient
+    return tuple((coefficient, symbols)
+                 for symbols, coefficient in merged.items())
+
+
+def polynomial_value(terms: tuple, dims: dict) -> int:
+    """Evaluate a sum of compiled monomials at concrete ``dims``."""
+    total = 0
+    for value, symbols in terms:
+        for name in symbols:
+            value *= int(dims[name])
+        total += value
+    return total
 
 
 _INFIX = {"add": "+", "sub": "-", "mul": "*", "pow": "**"}

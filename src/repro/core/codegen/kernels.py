@@ -5,8 +5,8 @@
 
 - **compile time** (here, once per graph): emit Python source computing the
   group's members in topological order, ``exec`` it into a callable, and
-  build a :class:`CostRecipe` — symbolic formulas for the kernel's bytes
-  moved and flops.
+  build a :class:`CostRecipe` — the kernel's bytes moved and flops,
+  compiled from its symbolic shapes into monomials.
 - **run time** (per call, any shape): the callable executes with the
   concrete arrays plus the ``dims`` bindings; the recipe and the selected
   schedule variant instantiate a :class:`KernelSpec` for the device cost
@@ -15,7 +15,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -26,61 +25,77 @@ from ...ir.node import Node
 from ...ir.ops import OpCategory, op_info
 from ..fusion.kinds import FusionGroup, FusionKind
 from ..fusion.legality import is_last_axis_reduce
-from .exprs import emit_statement, serialize_shape
+from .exprs import (emit_statement, monomial_value, polynomial_value,
+                    serialize_shape, shape_monomial, sum_monomials)
 from .schedules import HEURISTIC_SELECTOR, Schedule, ScheduleSelector
-from .support import SUPPORT_NAMESPACE, _shape
+from .support import SUPPORT_NAMESPACE
 
 __all__ = ["CompiledKernel", "CostRecipe", "compile_group"]
 
 
 @dataclass
 class CostRecipe:
-    """Symbolic byte/flop formulas, evaluated per call against ``dims``."""
+    """Byte/flop formulas compiled to monomials, evaluated per call.
 
-    #: (serialized shape, dtype size) per external input read.
-    reads: list = field(default_factory=list)
-    #: (serialized shape, dtype size) per escaping output written.
-    writes: list = field(default_factory=list)
-    #: flop terms: ("map", shape, per_element) | ("dot", a, b) |
-    #: ("conv", x, w, strides)
+    Every shape template is compiled once, here at compile time, into a
+    monomial ``(coefficient, symbols)`` (:func:`shape_monomial`); the
+    per-call work is dict lookups and multiplications.  Integer sums and
+    products are exact in any order, so like byte terms are merged; each
+    flop term keeps its own float evaluation order.
+    """
+
+    #: bytes read per call: a sum of monomials (dtype size folded in).
+    reads: tuple = ()
+    #: bytes written per call: a sum of monomials.
+    writes: tuple = ()
+    #: flop terms: ("map", elements, per_element) |
+    #: ("dot", batch_a, batch_b, m, k, n) |
+    #: ("conv", n, h, w, (kh, kw, cin, cout), strides) — monomials
+    #: except the static conv weight dims and strides.
     flop_terms: list = field(default_factory=list)
-    #: ("loop", root shape) or ("rows", row shape, col dim) or None.
+    #: ("loop", elements, innermost) or ("rows", rows, cols) monomials,
+    #: or None.
     domain: tuple | None = None
 
     def eval_bytes(self, dims: dict) -> tuple:
-        read = sum(math.prod(_shape(s, dims)) * size
-                   for s, size in self.reads)
-        written = sum(math.prod(_shape(s, dims)) * size
-                      for s, size in self.writes)
-        return read, written
+        return (polynomial_value(self.reads, dims),
+                polynomial_value(self.writes, dims))
 
     def eval_flops(self, dims: dict) -> float:
         total = 0.0
         for term in self.flop_terms:
             kind = term[0]
             if kind == "map":
-                __, shape, per_element = term
-                total += math.prod(_shape(shape, dims)) * per_element
+                __, elements, per_element = term
+                total += monomial_value(elements, dims) * per_element
             elif kind == "dot":
-                __, a, b = term
-                ca = _shape(a, dims)
-                cb = _shape(b, dims)
-                m, k = ca[-2], ca[-1]
-                n = cb[-1]
-                batch = math.prod(ca[:-2])
-                batch = max(batch, math.prod(cb[:-2]))
-                total += 2.0 * batch * m * k * n
+                __, batch_a, batch_b, m, k, n = term
+                batch = max(monomial_value(batch_a, dims),
+                            monomial_value(batch_b, dims))
+                total += (2.0 * batch * monomial_value(m, dims)
+                          * monomial_value(k, dims)
+                          * monomial_value(n, dims))
             elif kind == "conv":
-                __, x, w, strides = term
-                cx = _shape(x, dims)
-                kh, kw, cin, cout = w
-                n, h, wd = cx[0], cx[1], cx[2]
-                oh = -(-h // strides[0])
-                ow = -(-wd // strides[1])
-                total += 2.0 * n * oh * ow * kh * kw * cin * cout
+                __, n, h, wd, (kh, kw, cin, cout), strides = term
+                oh = -(-monomial_value(h, dims) // strides[0])
+                ow = -(-monomial_value(wd, dims) // strides[1])
+                total += (2.0 * monomial_value(n, dims) * oh * ow
+                          * kh * kw * cin * cout)
             else:
                 raise ValueError(f"unknown flop term kind {kind!r}")
         return float(total)
+
+
+def _dim_monomial(dim) -> tuple:
+    """One serialized dim as a monomial."""
+    return shape_monomial((dim,))
+
+
+def _dot_monomials(a: tuple, b: tuple) -> tuple:
+    """``(batch_a, batch_b, m, k, n)`` of a dot's serialized operands."""
+    return (shape_monomial(a[:-2]), shape_monomial(b[:-2]),
+            _dim_monomial(a[-2]), _dim_monomial(a[-1]),
+            _dim_monomial(b[-1]))
 
 
 @dataclass
@@ -95,7 +110,8 @@ class CompiledKernel:
     source: str
     fn: Callable
     recipe: CostRecipe
-    #: the matmul shapes when kind is LIBRARY (drives library efficiency).
+    #: ``(batch_a, batch_b, m, k, n)`` monomials of the matmul when kind
+    #: is LIBRARY (drives library efficiency).
     library_dims: tuple | None = None
 
     def execute(self, args: Sequence[np.ndarray],
@@ -114,19 +130,11 @@ class CompiledKernel:
         The schedule selectors and the autotuner's strategy space both
         work from these extents.
         """
-        if self.recipe.domain is None:
+        domain = self.recipe.domain
+        if domain is None:
             return None
-        kind = self.recipe.domain[0]
-        if kind == "loop":
-            shape = _shape(self.recipe.domain[1], dims)
-            total = math.prod(shape)
-            innermost = int(shape[-1]) if shape else 1
-            return ("loop", total, innermost)
-        if kind == "rows":
-            rows = math.prod(_shape(self.recipe.domain[1], dims))
-            cols = int(_shape((self.recipe.domain[2],), dims)[0])
-            return ("rows", rows, cols)
-        return None
+        return (domain[0], monomial_value(domain[1], dims),
+                monomial_value(domain[2], dims))
 
     def select_schedule(self, dims: dict,
                         selector: ScheduleSelector | None = None
@@ -179,26 +187,23 @@ class CompiledKernel:
         occupancy_exempt = self.kind is FusionKind.LIBRARY
         parallel = max(1, written // 4)
         if self.kind is FusionKind.LIBRARY and self.library_dims:
-            a, b = self.library_dims
-            ca = _shape(a, dims)
-            cb = _shape(b, dims)
-            batch = max(math.prod(ca[:-2]), math.prod(cb[:-2]))
-            m, k, n = ca[-2], ca[-1], cb[-1]
+            batch_a, batch_b, m, k, n = self.library_dims
+            batch = max(monomial_value(batch_a, dims),
+                        monomial_value(batch_b, dims))
+            m = monomial_value(m, dims)
+            k = monomial_value(k, dims)
+            n = monomial_value(n, dims)
             efficiency = base_efficiency * library_efficiency(
                 batch * m, n, k) / 0.85
             parallel = batch * m * n
             occupancy_exempt = True
         elif schedule is not None and self.recipe.domain is not None:
-            if self.recipe.domain[0] == "loop":
-                shape = _shape(self.recipe.domain[1], dims)
-                total = math.prod(shape)
-                eff, parallel = schedule.elementwise_profile(total)
-                efficiency = base_efficiency * eff
+            kind, major, minor = self.domain_extents(dims)
+            if kind == "loop":
+                eff, parallel = schedule.elementwise_profile(major)
             else:
-                rows = math.prod(_shape(self.recipe.domain[1], dims))
-                cols = int(_shape((self.recipe.domain[2],), dims)[0])
-                eff, parallel = schedule.reduction_profile(rows, cols)
-                efficiency = base_efficiency * eff
+                eff, parallel = schedule.reduction_profile(major, minor)
+            efficiency = base_efficiency * eff
             extra_launches = schedule.extra_launches
         return KernelSpec(
             name=self.name,
@@ -248,7 +253,8 @@ def compile_group(group: FusionGroup, users: dict,
     library_dims = None
     if group.kind is FusionKind.LIBRARY and members[0].op == "dot":
         a, b = members[0].inputs
-        library_dims = (serialize_shape(a.shape), serialize_shape(b.shape))
+        library_dims = _dot_monomials(serialize_shape(a.shape),
+                                      serialize_shape(b.shape))
 
     return CompiledKernel(
         name=name,
@@ -265,7 +271,7 @@ def compile_group(group: FusionGroup, users: dict,
 
 def _build_recipe(group: FusionGroup, members: list, input_nodes: list,
                   output_nodes: list) -> CostRecipe:
-    recipe = CostRecipe()
+    reads = []
     for node in input_nodes:
         uses = [(member, i) for member in members
                 for i, operand in enumerate(member.inputs)
@@ -275,62 +281,71 @@ def _build_recipe(group: FusionGroup, members: list, input_nodes: list,
             # A table only ever indexed by gathers: the kernel touches the
             # gathered rows, not the whole (potentially huge) table.
             for member, __ in uses:
-                recipe.reads.append((serialize_shape(member.shape),
-                                     node.dtype.size))
+                reads.append(_elements(member.shape, node.dtype.size))
         else:
-            recipe.reads.append((serialize_shape(node.shape),
-                                 node.dtype.size))
-    for node in output_nodes:
-        recipe.writes.append((serialize_shape(node.shape), node.dtype.size))
+            reads.append(_elements(node.shape, node.dtype.size))
+    writes = [_elements(node.shape, node.dtype.size)
+              for node in output_nodes]
+    flop_terms = []
     for node in members:
         info = op_info(node.op)
         category = node.category
         if category is OpCategory.ELEMENTWISE:
-            recipe.flop_terms.append(
-                ("map", serialize_shape(node.shape),
-                 info.flops_per_element))
+            flop_terms.append(
+                ("map", _elements(node.shape), info.flops_per_element))
         elif category is OpCategory.REDUCTION:
-            recipe.flop_terms.append(
-                ("map", serialize_shape(node.inputs[0].shape), 1.0))
+            flop_terms.append(("map", _elements(node.inputs[0].shape), 1.0))
         elif category is OpCategory.DOT:
             a, b = node.inputs
-            recipe.flop_terms.append(
-                ("dot", serialize_shape(a.shape), serialize_shape(b.shape)))
+            flop_terms.append(("dot",) + _dot_monomials(
+                serialize_shape(a.shape), serialize_shape(b.shape)))
         elif category is OpCategory.CONV:
             x, w = node.inputs
-            recipe.flop_terms.append(
-                ("conv", serialize_shape(x.shape),
-                 tuple(int(d) for d in w.shape),
+            n, h, wd = serialize_shape(x.shape)[:3]
+            flop_terms.append(
+                ("conv", _dim_monomial(n), _dim_monomial(h),
+                 _dim_monomial(wd), tuple(int(d) for d in w.shape),
                  tuple(node.attrs.get("strides", (1, 1)))))
         elif category is OpCategory.COMPOSITE:
             per_element = {"softmax": 8.0, "layer_norm": 10.0,
                            "gelu": 12.0}.get(node.op, 4.0)
-            recipe.flop_terms.append(
-                ("map", serialize_shape(node.shape), per_element))
+            flop_terms.append(("map", _elements(node.shape), per_element))
         elif category in (OpCategory.DATA_MOVEMENT, OpCategory.TRANSPOSE):
-            recipe.flop_terms.append(
-                ("map", serialize_shape(node.shape), 0.5))
+            flop_terms.append(("map", _elements(node.shape), 0.5))
         # broadcast/reshape/shape ops: no flops.
-    recipe.domain = _schedule_domain(group, members)
-    return recipe
+    return CostRecipe(reads=sum_monomials(reads),
+                      writes=sum_monomials(writes),
+                      flop_terms=flop_terms,
+                      domain=_schedule_domain(group, members))
+
+
+def _elements(shape, scale: int = 1) -> tuple:
+    """A node shape's element count times ``scale``, as a monomial."""
+    return shape_monomial(serialize_shape(shape), scale)
 
 
 def _schedule_domain(group: FusionGroup, members: list) -> tuple | None:
-    """What iteration space drives schedule selection for this kernel."""
+    """What iteration space drives schedule selection for this kernel:
+    ``("loop", elements, innermost)`` or ``("rows", rows, cols)``."""
     if group.kind in (FusionKind.INPUT, FusionKind.STITCH):
         for node in members:
             if is_last_axis_reduce(node):
-                in_shape = node.inputs[0].shape
-                return ("rows", serialize_shape(in_shape[:-1]),
-                        serialize_shape((in_shape[-1],))[0])
+                in_shape = serialize_shape(node.inputs[0].shape)
+                return ("rows", shape_monomial(in_shape[:-1]),
+                        _dim_monomial(in_shape[-1]))
         # A kInput group whose reduce is not last-axis: schedule over the
         # reduce's input domain as a flat loop.
         for node in members:
             if node.is_reduction:
-                return ("loop", serialize_shape(node.inputs[0].shape))
+                return _loop_domain(serialize_shape(node.inputs[0].shape))
     if group.kind in (FusionKind.LOOP, FusionKind.SINGLETON):
         root = members[-1]
         if root.shape:
-            return ("loop", serialize_shape(root.shape))
-        return ("loop", (1,))
+            return _loop_domain(serialize_shape(root.shape))
+        return _loop_domain((1,))
     return None
+
+
+def _loop_domain(shape: tuple) -> tuple:
+    innermost = _dim_monomial(shape[-1]) if shape else (1, ())
+    return ("loop", shape_monomial(shape), innermost)

@@ -11,6 +11,7 @@ kernels need for ``reshape`` / ``broadcast_in_dim``.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, MutableMapping, Sequence
 
 import numpy as np
@@ -137,7 +138,7 @@ def solve_reshape_shape(new_shape: Sequence[Dim], total_elements: int,
         out.append(value)
     if unknown is None:
         resolved = tuple(int(d) for d in out)
-        if total_elements != int(np.prod(resolved, initial=1)):
+        if total_elements != math.prod(resolved):
             raise BindingError(
                 f"reshape target {resolved} does not cover "
                 f"{total_elements} elements")

@@ -2,13 +2,14 @@
 
 Two nodes compute the same value when they run the same op over the same
 operands with equal attributes.  Attribute equality handles numpy arrays
-(constants) by content digest, so duplicate weight-free constants (the
-scalar epsilons and 0.5s that lowering sprinkles around) deduplicate too.
+(constants) by raw bytes, so duplicate weight-free constants (the scalar
+epsilons and 0.5s that lowering sprinkles around) deduplicate too.  An
+array is keyed by dtype, shape and a few sampled elements, so no weight
+is copied or hashed whole; only arrays whose keys match are compared
+byte for byte.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
@@ -19,10 +20,35 @@ from .base import Pass
 __all__ = ["CommonSubexpressionElimination"]
 
 
+#: elements an array's hash key samples, evenly spaced over its extent.
+_SAMPLES = 8
+
+
+class _ArrayToken:
+    """An ndarray attribute as a dict key: hashed by dtype, shape and
+    sampled elements, equal iff dtype, shape and raw bytes are equal
+    (so 0.0 and -0.0 differ and a NaN equals only its own bit pattern)."""
+
+    __slots__ = ("value", "key")
+
+    def __init__(self, value: np.ndarray) -> None:
+        self.value = value
+        flat = value.reshape(-1)
+        step = max(1, -(-flat.size // _SAMPLES))
+        self.key = (str(value.dtype), value.shape, flat[::step].tobytes(),
+                    flat[-1:].tobytes())
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, _ArrayToken) and self.key == other.key
+                and self.value.tobytes() == other.value.tobytes())
+
+
 def _attr_token(value) -> object:
     if isinstance(value, np.ndarray):
-        digest = hashlib.sha1(value.tobytes()).hexdigest()
-        return ("ndarray", str(value.dtype), value.shape, digest)
+        return _ArrayToken(value)
     if isinstance(value, (list, tuple)):
         return tuple(_attr_token(v) for v in value)
     if isinstance(value, dict):

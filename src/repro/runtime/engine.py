@@ -24,7 +24,7 @@ kept for the E15 host-overhead comparison and the equivalence suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -102,11 +102,11 @@ def charge_kernel(kernel, dims: dict, stats: RunStats,
             schedule.name
     spec = kernel.cost_spec(dims, schedule, options.base_efficiency)
     if batch != 1:
-        spec = replace(spec,
-                       bytes_read=spec.bytes_read * batch,
-                       bytes_written=spec.bytes_written * batch,
-                       flops=spec.flops * batch,
-                       parallel_elements=spec.parallel_elements * batch)
+        # ``spec`` is this launch's own fresh record: scale it in place.
+        spec.bytes_read *= batch
+        spec.bytes_written *= batch
+        spec.flops *= batch
+        spec.parallel_elements *= batch
     device_us = kernel_time_us(spec, device)
     if eager_dispatch_us is not None:
         device_us = max(device_us, eager_dispatch_us)

@@ -15,7 +15,10 @@ a corner sweep of the declared ranges) differ only in visit order and
 in the bindings sizes are priced at.
 
 ``BufferPlan.evaluate(dims)`` returns naive total vs reused peak bytes; the
-engine surfaces both in ``RunStats.details``.
+engine surfaces both in ``RunStats.details``.  Each interval's byte size
+is compiled once into a monomial (``Interval.size``), so evaluating a
+plan is dict lookups and multiplications, not a walk over shape
+templates.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.codegen.exprs import serialize_shape
-from ..core.codegen.support import _shape
+from ..core.codegen.exprs import (monomial_value, serialize_shape,
+                                  shape_monomial)
 from ..ir.shapes import SymDim
 from ..numerics.resolve import resolve_all_dims
 
@@ -47,14 +50,14 @@ class Interval:
     start: int            # kernel index that produces the value
     end: int              # last kernel index that reads it
     slot: int = -1        # assigned reuse slot
+    #: the byte size compiled from ``shape`` and ``dtype_size``.
+    size: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.size = shape_monomial(self.shape, self.dtype_size)
 
     def bytes_at(self, dims: dict) -> int:
-        return value_bytes(self.shape, self.dtype_size, dims)
-
-
-def value_bytes(shape: tuple, dtype_size: int, dims: dict) -> int:
-    """Bytes of one value of serialized ``shape`` at concrete ``dims``."""
-    return math.prod(_shape(shape, dims)) * dtype_size
+        return monomial_value(self.size, dims)
 
 
 class BufferPlan:

@@ -40,13 +40,13 @@ property/fuzz suites sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.codegen.exprs import monomial_value, shape_monomial
 from ..core.symbolic.intervals import (Interval, IntervalFact, IntervalMap,
                                        derive_intervals)
-from .memory import value_bytes
 
 __all__ = ["MemoryBudget", "SlotExtent", "SymbolicBufferPlan",
            "measure_peak_bytes", "plan_symbolic"]
@@ -58,21 +58,27 @@ class SlotExtent:
 
     ``exprs`` are the distinct ``(serialized_shape, dtype_size)`` pairs
     the slot ever holds — the symbolic expression the per-call maximum
-    is computed from; ``fact`` is their interval join with merged
-    provenance.
+    is computed from, compiled into the byte monomials ``sizes``;
+    ``fact`` is their interval join with merged provenance.
     """
 
     slot: int
     occupants: tuple        # node ids, production order
     exprs: tuple            # distinct (serialized shape, dtype_size)
     fact: IntervalFact      # join over occupant size facts
+    sizes: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sizes", tuple(
+            shape_monomial(shape, dtype_size)
+            for shape, dtype_size in self.exprs))
 
     def bytes_at(self, dims: dict) -> int:
         """The slot's concrete requirement at one binding: the max of
         its occupant size expressions (identical to what the concrete
         plan charges the slot)."""
-        return max((value_bytes(shape, dtype_size, dims)
-                    for shape, dtype_size in self.exprs), default=0)
+        return max((monomial_value(size, dims) for size in self.sizes),
+                   default=0)
 
     def expression(self) -> str:
         """The slot's symbolic size, ``max(<shape>*<dtype_size>, ...)``."""

@@ -324,8 +324,10 @@ class BatchingServingEngine(ServingEngine):
 
     # -- registration ------------------------------------------------------
 
-    def register_model(self, name, model, compile_options=None):
-        entry = super().register_model(name, model, compile_options)
+    def register_model(self, name, model, compile_options=None, *,
+                       fallback=None):
+        entry = super().register_model(name, model, compile_options,
+                                       fallback=fallback)
         bucketer = ShapeBucketer(
             entry.executable.graph, entry.engine.host_program.params,
             self.batching.pad_policy)

@@ -361,9 +361,15 @@ class ServingEngine:
 
     def register_model(self, name: str,
                        model: Graph | Executable,
-                       compile_options: CompileOptions | None = None
+                       compile_options: CompileOptions | None = None,
+                       *, fallback: EagerFallback | None = None
                        ) -> _ModelEntry:
-        """Compile (if needed), lint-gate, and install a model."""
+        """Compile (if needed), lint-gate, and install a model.
+
+        ``fallback`` is an eager fallback already built for ``model``'s
+        executable (a fleet builds one per model and shares it across
+        its replicas); None builds this engine's own.
+        """
         if name in self._models:
             raise ValueError(f"model {name!r} already registered")
         if isinstance(model, Graph):
@@ -381,7 +387,8 @@ class ServingEngine:
         engine = ExecutionEngine(executable, self.device,
                                  self.options.engine,
                                  tracer=self._raw_tracer)
-        fallback = EagerFallback(executable, self.device)
+        if fallback is None:
+            fallback = EagerFallback(executable, self.device)
         duration = self.options.compile_cost.duration_us(
             len(executable.kernels))
         tuning_duration = 0.0

@@ -34,14 +34,14 @@ __all__ = ["EagerFallback"]
 class EagerFallback:
     """Serves an executable's requests at eager (PyTorch-style) cost.
 
-    The eager baseline is only ever *charged*, never executed: outputs
-    come from the executable's host program.
+    The eager baseline (``eager``) is only ever *charged*, never
+    executed: outputs come from the executable's host program.
     """
 
     def __init__(self, executable: Executable,
                  device: DeviceProfile) -> None:
         self.executable = executable
-        self._eager = SimulatedBaseline(executable.graph, device, PYTORCH)
+        self.eager = SimulatedBaseline(executable.graph, device, PYTORCH)
 
     def run(self, inputs: Mapping[str, np.ndarray]
             ) -> tuple[list, RunStats]:
@@ -49,4 +49,4 @@ class EagerFallback:
         program = self.executable.host_program
         dims = program.bind(inputs)
         outputs = program.execute(inputs, dims)
-        return outputs, self._eager.charge(inputs, dims)
+        return outputs, self.eager.charge(inputs, dims)

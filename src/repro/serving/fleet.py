@@ -52,6 +52,7 @@ from ..runtime.launchplan import format_signature
 from .batching import BatchingOptions, BatchingServingEngine
 from .engine import (Request, Response, ResponseStatus, ServingEngine,
                      ServingOptions, Ticket)
+from .fallback import EagerFallback
 from .router import (AdmissionController, RouteDecision, RoutingPolicy,
                      make_policy)
 from .scheduler import VirtualScheduler
@@ -229,9 +230,10 @@ class FleetEngine:
             self.options.tenant_quotas, self.options.default_quota)
         self._compile_fault_factory = compile_fault_factory
         self._tuning_fault_factory = tuning_fault_factory
-        #: model name -> (executable, compile_options) for replica boots.
-        self._registry: dict[str, tuple[Executable,
-                                        CompileOptions | None]] = {}
+        #: model name -> (executable, compile_options, shared eager
+        #: fallback) for replica boots.
+        self._registry: dict[str, tuple[Executable, CompileOptions | None,
+                                        EagerFallback]] = {}
         self._replicas: list[_Replica] = []
         self.retired: list[_Replica] = []
         self._next_uid = 0
@@ -285,8 +287,10 @@ class FleetEngine:
             engine = ServingEngine(
                 self.device, self.scheduler, serving,
                 tracer=self._raw_tracer, name=name, **faults)
-        for model, (executable, compile_options) in self._registry.items():
-            engine.register_model(model, executable, compile_options)
+        for model, (executable, compile_options,
+                    fallback) in self._registry.items():
+            engine.register_model(model, executable, compile_options,
+                                  fallback=fallback)
         now = self.scheduler.now_us()
         replica = _Replica(name, uid, engine, now)
         self._replicas.append(replica)
@@ -360,7 +364,10 @@ class FleetEngine:
 
         The one executable is shared: its compiled host program is
         cached on the executable itself, so N replica engines replay
-        the same lowering instead of compiling it N times.
+        the same lowering instead of compiling it N times.  So is one
+        eager fallback: its PyTorch cost model never compiles, so a
+        charge reads no state an earlier charge wrote, and every replica
+        (including ones booted later) charges through the same one.
         """
         if name in self._registry:
             raise ValueError(f"model {name!r} already registered")
@@ -368,7 +375,10 @@ class FleetEngine:
             executable = compile_graph(model, compile_options)
         else:
             executable = model
-        self._registry[name] = (executable, compile_options)
+        fallback = EagerFallback(executable, self.device)
+        assert fallback.eager.spec.compile_policy == "none", \
+            "a shared eager fallback must charge statelessly"
+        self._registry[name] = (executable, compile_options, fallback)
         self._model_footprints[name] = self._footprint_of(executable)
         if self.memory_budget is not None:
             total = self.replica_footprint_bytes()
@@ -384,7 +394,8 @@ class FleetEngine:
                     f"{self.memory_budget.usable_bytes}")
         for replica in self._replicas:
             replica.engine.register_model(name, executable,
-                                          compile_options)
+                                          compile_options,
+                                          fallback=fallback)
 
     # -- memory accounting ---------------------------------------------------
 
@@ -437,7 +448,7 @@ class FleetEngine:
         now = self.scheduler.now_us()
         seq = self._next_seq
         self._next_seq += 1
-        executable, _ = self._registry[model]
+        executable = self._registry[model][0]
         signature = executable.host_program.signature(inputs)
 
         if not self.admission.admit(tenant, now):

@@ -50,6 +50,23 @@ def test_e15_table_matches_the_full_artifact():
         for row in artifact["rows"]}
 
 
+def _series(values: list) -> str:
+    """``a, b and c``, the way EXPERIMENTS.md lists a sweep."""
+    return ", ".join(values[:-1]) + " and " + values[-1]
+
+
+def test_e6_depth_sweep_matches_the_full_artifact():
+    rows = sorted(_artifact("e6_compile_overhead")["depth"],
+                  key=lambda row: row["layers"])
+    section = _section("E6")
+    layers = _series([str(row["layers"]) for row in rows])
+    nodes = _series([f"{row['nodes']:,}" for row in rows])
+    walls = _series([f"{row['pipeline_wall_s']:.2f}" for row in rows])
+    per_node = _series([f"{row['us_per_node']:.0f}" for row in rows])
+    assert (f"at {layers} layers, best of 3: {nodes} nodes in {walls} s, "
+            f"that is {per_node} µs per node") in section
+
+
 def test_e11_numbers_match_the_full_artifact():
     artifact = _artifact("e11_memory_planning")
     section = _section("E11")

@@ -85,3 +85,45 @@ def test_numerics_preserved(rng):
     (after,) = evaluate(b.graph, inputs)
     assert np.allclose(before, after)
     verify(b.graph)
+
+
+def constants_after_cse(first, second):
+    """How many constants survive CSE of ``x + first + second``."""
+    b = GraphBuilder("g")
+    x = b.parameter("x", np.shape(first), f32)
+    c1 = b.constant(first, f32)
+    c2 = b.constant(second, f32)
+    b.outputs(b.add(b.add(x, c1), c2))
+    cse(b.graph)
+    return len(b.graph.by_op("constant"))
+
+
+def test_signed_zeros_stay_distinct():
+    # 0.0 == -0.0 numerically, but the constants differ bit for bit.
+    assert constants_after_cse([0.0, 1.0], [-0.0, 1.0]) == 2
+
+
+def test_nan_merges_only_with_its_own_bits():
+    nan = np.float32(np.nan)
+    other = np.frombuffer(
+        (np.frombuffer(nan.tobytes(), np.uint32) | 1).tobytes(),
+        np.float32)[0]
+    assert np.isnan(other)
+    assert constants_after_cse([nan, 1.0], [nan, 1.0]) == 1
+    assert constants_after_cse([nan, 1.0], [other, 1.0]) == 2
+
+
+def test_equal_zero_biases_merged():
+    assert constants_after_cse(np.zeros(64), np.zeros(64)) == 1
+
+
+def test_arrays_differing_in_one_unsampled_element_stay_distinct():
+    from repro.passes.cse import _attr_token
+    first = np.arange(100, dtype=np.float32)
+    second = first.copy()
+    second[5] = -1.0
+    # Same hash key (element 5 is not sampled): the raw bytes decide.
+    assert _attr_token(first).key == _attr_token(second).key
+    assert _attr_token(first) != _attr_token(second)
+    assert constants_after_cse(first, second) == 2
+    assert constants_after_cse(first, first.copy()) == 1

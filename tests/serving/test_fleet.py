@@ -424,6 +424,35 @@ def test_private_pools_aggregate_by_sum(toy_exe, inputs_a, inputs_b):
 
 
 @pytest.mark.parametrize("batching", [False, True])
+def test_replicas_share_one_eager_baseline_per_model(
+        toy_exe, inputs_a, monkeypatch, batching):
+    from repro.serving import fallback as fallback_module
+    built = []
+
+    class CountingBaseline(fallback_module.SimulatedBaseline):
+        def __init__(self, graph, device, spec):
+            built.append(graph)
+            super().__init__(graph, device, spec)
+
+    monkeypatch.setattr(fallback_module, "SimulatedBaseline",
+                        CountingBaseline)
+    options = {"replicas": 2, "policy": "round_robin"}
+    if batching:
+        options["batching"] = BatchingOptions(max_batch_size=4)
+    scheduler, fleet = make_fleet(toy_exe, fleet=options)
+    fleet.register_model("mlp2", toy_exe)
+    assert len(built) == 2
+    for model in ("mlp", "mlp2"):
+        assert len({id(r.engine.model(model).fallback)
+                    for r in fleet.replicas()}) == 1
+    # Both replicas still answer their cold requests on the fallback.
+    tickets = [fleet.submit("mlp", inputs_a) for _ in range(2)]
+    scheduler.run_until_idle()
+    assert [t.response.path for t in tickets] == ["fallback"] * 2
+    assert len({t.replica for t in tickets}) == 2
+
+
+@pytest.mark.parametrize("batching", [False, True])
 def test_every_replica_kind_receives_its_tuner_faults(toy_exe, inputs_a,
                                                       batching):
     """The per-replica tuner-fault schedule reaches batching replicas
