@@ -98,7 +98,7 @@ def simulate_serving(executor, trace, arrival_rate_qps: float,
     """Replay ``trace`` through ``executor`` under Poisson arrivals.
 
     ``executor`` is anything with ``run(inputs) -> (outputs, RunStats)``
-    (a baseline, a DiscExecutor, or an AdaptiveEngine).  The executor's
+    (a baseline, a DiscExecutor, or an ExecutionEngine).  The executor's
     internal caches warm up across the run, exactly as in production.
 
     ``measure_host_wall`` additionally records the *real* wall-clock of

@@ -9,7 +9,6 @@ from .launchplan import (BatchLaunchPlan, LaunchPlan, LaunchPlanCache,
                          format_signature)
 from .memory import (BufferPlan, Interval, plan_buffers,
                      replan_peak_for_shape, scale_batched_memory)
-from .specialize import AdaptiveEngine, SpecializationOptions
 from .symplan import (MemoryBudget, SlotExtent, SymbolicBufferPlan,
                       measure_peak_bytes, plan_symbolic)
 
@@ -22,7 +21,6 @@ __all__ = [
     "BatchLaunchPlan", "LaunchPlan", "LaunchPlanCache", "format_signature",
     "BufferPlan", "Interval", "plan_buffers",
     "replan_peak_for_shape", "scale_batched_memory",
-    "AdaptiveEngine", "SpecializationOptions",
     "MemoryBudget", "SlotExtent", "SymbolicBufferPlan",
     "measure_peak_bytes", "plan_symbolic",
 ]

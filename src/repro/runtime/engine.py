@@ -124,11 +124,6 @@ def charge_kernel(kernel, dims: dict, stats: RunStats,
 class ExecutionEngine:
     """Executes a compiled program through its host program.
 
-    ``plan_cache``/``plan_tag`` let several engines share one
-    :class:`LaunchPlanCache` (the adaptive specialiser runs a generic and
-    a specialised engine over the same signature stream); the tag keeps
-    their frozen plans apart while the signature statistics unify.
-
     ``tracer`` (None = off) wraps every call in an ``engine:run`` span
     holding an ``engine:record`` or ``engine:replay`` child with
     per-kernel launch spans.  The untraced path runs the host program
@@ -137,17 +132,14 @@ class ExecutionEngine:
 
     def __init__(self, executable: Executable, device: DeviceProfile,
                  options: EngineOptions | None = None, *,
-                 plan_cache: LaunchPlanCache | None = None,
-                 plan_tag: str = "main", tracer=None) -> None:
+                 tracer=None) -> None:
         self.executable = executable
         self.device = device
         self.options = options or EngineOptions()
         self.tracer = resolve_tracer(tracer)
         self.host_program: HostProgram = executable.host_program
-        self.plans = plan_cache if plan_cache is not None else \
-            LaunchPlanCache(self.options.plan_capacity,
-                            tracer=tracer)
-        self._plan_tag = plan_tag
+        self.plans = LaunchPlanCache(self.options.plan_capacity,
+                                     tracer=tracer)
         # The class-wide memory snapshot is computed once per engine —
         # every frozen plan of every signature in the class shares it,
         # so replay never touches the planner again.
@@ -158,10 +150,10 @@ class ExecutionEngine:
         """Execute on concrete inputs; returns (outputs, stats).
 
         ``signature`` lets a caller that already computed (and noted)
-        the call's signature — the adaptive specialiser — skip the
-        recomputation; plain callers leave it None.  A miss freezes the
-        signature's plan, replays it, and only then installs it, so a
-        first call that raises leaves no plan behind.
+        the call's signature skip the recomputation; plain callers leave
+        it None.  A miss freezes the signature's plan, replays it, and
+        only then installs it, so a first call that raises leaves no
+        plan behind.
         """
         if self.tracer.enabled:
             return self._run_traced(inputs, signature)
@@ -169,13 +161,12 @@ class ExecutionEngine:
         if signature is None:
             signature = program.signature(inputs)
             self.plans.note(signature)
-        key = (self._plan_tag, signature)
-        plan = self.plans.get(key)
+        plan = self.plans.get(signature)
         if plan is not None:
             return self._replay(plan, inputs)
         plan = self._freeze(signature, program.bind(inputs))
         result = self._replay(plan, inputs)
-        self.plans.put(key, plan)
+        self.plans.put(signature, plan)
         return result
 
     def _run_traced(self, inputs: Mapping[str, np.ndarray],
@@ -183,13 +174,12 @@ class ExecutionEngine:
         """The traced twin of :meth:`run`; same order, same charges."""
         tracer = self.tracer
         program = self.host_program
-        with tracer.span("engine:run", tag=self._plan_tag) as span:
+        with tracer.span("engine:run") as span:
             if signature is None:
                 signature = program.signature(inputs)
                 self.plans.note(signature)
             span.set(signature=format_signature(signature))
-            key = (self._plan_tag, signature)
-            plan = self.plans.get(key)
+            plan = self.plans.get(signature)
             hit = plan is not None
             path = "replay" if hit else "record"
             with tracer.span(f"engine:{path}") as child:
@@ -200,13 +190,13 @@ class ExecutionEngine:
                     outputs, stats = self._replay(plan, inputs, hook)
                 child.set(kernels_launched=stats.kernels_launched)
             if not hit:
-                self.plans.put(key, plan)
+                self.plans.put(signature, plan)
             span.set(path=path, cache_hit=hit)
             return outputs, stats
 
     def peek_plan(self, signature: tuple) -> LaunchPlan | None:
         """The frozen plan for ``signature`` (no stats side effects)."""
-        return self.plans.peek((self._plan_tag, signature))
+        return self.plans.peek(signature)
 
     def prepare(self, inputs: Mapping[str, np.ndarray],
                 signature: tuple | None = None, *,
@@ -229,16 +219,15 @@ class ExecutionEngine:
         program = self.host_program
         if signature is None:
             signature = program.signature(inputs)
-        key = (self._plan_tag, signature)
         if not overwrite:
-            existing = self.plans.peek(key)
+            existing = self.plans.peek(signature)
             if existing is not None:
                 return existing
         tracer = self.tracer
-        with tracer.span("engine:prepare", tag=self._plan_tag) as span:
+        with tracer.span("engine:prepare") as span:
             plan = self._freeze(signature, program.bind(inputs),
                                 selector=selector)
-            self.plans.put(key, plan)
+            self.plans.put(signature, plan)
             if tracer.enabled:
                 span.set(signature=format_signature(signature),
                          kernels_launched=plan.kernels_launched)
@@ -248,10 +237,10 @@ class ExecutionEngine:
 
     def _batched_key(self, signature: tuple, batch_size: int) -> tuple:
         """Plan-cache key of a batched launch: the batch dim is part of
-        the signature (leading dim), the tag keeps a ``@batch`` marker so
-        diagnostics can tell the plan populations apart."""
-        return (f"{self._plan_tag}@batch",
-                HostProgram.batched_signature(signature, batch_size))
+        the signature (leading dim), and a fixed ``@batch`` marker keeps
+        it apart from a solo plan's key (the bare signature)."""
+        return ("@batch", HostProgram.batched_signature(signature,
+                                                        batch_size))
 
     def peek_batched(self, signature: tuple,
                      batch_size: int) -> BatchLaunchPlan | None:
@@ -274,8 +263,7 @@ class ExecutionEngine:
         if existing is not None:
             return existing
         tracer = self.tracer
-        with tracer.span("engine:prepare_batched",
-                         tag=self._plan_tag) as span:
+        with tracer.span("engine:prepare_batched") as span:
             dims = self.host_program.bind_signature(signature)
             plan = self._freeze(signature, dims, batch=batch_size)
             self.plans.put(key, plan)

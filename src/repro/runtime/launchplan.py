@@ -8,12 +8,10 @@ tensor *data*, so the first call of a signature freezes all of it into a
 instruction stream against the frozen dims and charges the precomputed
 cost — no binding, no resolution, no selection, no recipe evaluation.
 
-The cache is keyed on the host program's param-order signature plus a
-variant tag (so engines that share a cache — the adaptive specialiser's
-generic/specialised pair — never collide), bounded, and LRU-evicting.
-It also owns the per-signature call counting the adaptive specialiser
-and the E12 report consume, so hit/miss/hot-signature accounting lives
-in exactly one place.
+The cache is keyed on the host program's param-order signature (a
+batched plan's key adds a fixed ``@batch`` marker to its batched
+signature), bounded, and LRU-evicting.  It also counts the distinct
+signatures called, next to its hit/miss/eviction statistics.
 """
 
 from __future__ import annotations
@@ -36,15 +34,17 @@ def format_signature(signature: tuple) -> str:
 
 
 def _key_label(key) -> str:
-    """Human form of a cache key for trace-event attributes."""
+    """Human form of a plan-cache or compile-pool key for trace events:
+    a signature, or a ``(name, signature)`` pair — a batched plan's
+    marker, a pool job's model."""
     if isinstance(key, tuple) and len(key) == 2 \
-            and isinstance(key[1], tuple):
-        tag, signature = key
-        try:
-            return f"{tag}:{format_signature(signature)}"
-        except (TypeError, ValueError):
-            pass
-    return str(key)
+            and isinstance(key[0], str):
+        name, key = key
+        return f"{name}:{_key_label(key)}"
+    try:
+        return format_signature(key)
+    except (TypeError, ValueError):
+        return str(key)
 
 
 class LaunchPlan:
@@ -166,7 +166,7 @@ class BatchLaunchPlan(LaunchPlan):
 
 
 class LaunchPlanCache:
-    """Bounded LRU of launch plans + unified signature statistics.
+    """Bounded LRU of launch plans + signature statistics.
 
     ``tracer`` (None = off) turns hits, misses and evictions into
     ``cache:plan:*`` trace events carrying the formatted key.
@@ -174,8 +174,8 @@ class LaunchPlanCache:
 
     def __init__(self, capacity: int | None = 64, tracer=None) -> None:
         self._plans: OrderedDict[Hashable, LaunchPlan] = OrderedDict()
-        #: per-signature call counts (ordered: first-seen order).
-        self._seen: OrderedDict[Hashable, int] = OrderedDict()
+        #: every signature noted so far.
+        self._seen: set = set()
         self.capacity = capacity
         self.tracer = resolve_tracer(tracer)
         self.hits = 0
@@ -184,25 +184,9 @@ class LaunchPlanCache:
 
     # -- signature accounting ---------------------------------------------
 
-    def note(self, signature: Hashable) -> int:
-        """Count one call of ``signature``; returns its total so far."""
-        count = self._seen.get(signature, 0) + 1
-        self._seen[signature] = count
-        return count
-
-    def seen(self, signature: Hashable) -> int:
-        """How many calls of ``signature`` have been noted."""
-        return self._seen.get(signature, 0)
-
-    @property
-    def signatures_seen(self) -> int:
-        return len(self._seen)
-
-    def hot_signatures(self, n: int = 5) -> list:
-        """The ``n`` most-called signatures as (formatted, count) pairs."""
-        ranked = sorted(self._seen.items(), key=lambda kv: -kv[1])
-        return [(format_signature(sig) if isinstance(sig, tuple) else
-                 str(sig), count) for sig, count in ranked[:n]]
+    def note(self, signature: Hashable) -> None:
+        """Record one call of ``signature``."""
+        self._seen.add(signature)
 
     # -- plan storage ------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """One flow through every public subsystem, chained end to end.
 
-trace -> serialise -> reload -> compile -> buffer plan -> adaptive
+trace -> serialise -> reload -> compile -> buffer plan -> plan-cached
 serving -> queue simulation -> experiment table rendering.  If any public
 seam breaks, this test names it.
 """
@@ -13,8 +13,7 @@ from repro.device import CPU_X86
 from repro.frontend import constant
 from repro.ir import f32, load_graph, save_graph, verify
 from repro.ir.dot import plan_to_dot
-from repro.runtime import (AdaptiveEngine, ExecutionEngine,
-                           SpecializationOptions)
+from repro.runtime import ExecutionEngine
 
 
 def build_traced_graph():
@@ -43,15 +42,17 @@ def test_trace_serde_compile_serve(tmp_path, rng):
     dot = plan_to_dot(executable.plan)
     assert "digraph" in dot
 
-    # serve adaptively across shapes, numerics vs interpreter
-    engine = AdaptiveEngine(executable, A10,
-                            SpecializationOptions(threshold=2))
+    # serve across shapes, numerics vs interpreter
+    engine = ExecutionEngine(executable, A10)
     for batch in (1, 5, 5, 5):
         x = rng.normal(size=(batch, 32)).astype(np.float32)
         (got,), stats = engine.run({"x": x})
         (want,) = evaluate(graph, {"x": x})
         assert np.allclose(got, want, atol=1e-5)
-    assert engine.specializations_built == 1
+    # one record per signature, hits on the repeats
+    plans = engine.plans.stats()
+    assert plans["entries"] == plans["signatures_seen"] == 2
+    assert (plans["misses"], plans["hits"]) == (2, 2)
 
     # queueing simulation over the same engine
     inputs = [{"x": rng.normal(size=(2, 32)).astype(np.float32)}

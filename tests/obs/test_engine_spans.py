@@ -116,8 +116,8 @@ def test_eviction_events_match_cache_stats(toy_exe, rng):
     assert engine.plans.stats()["evictions"] == 2
     evictions = tracer.named("cache:plan:evict")
     assert len(evictions) == 2
-    # keys carry the plan tag plus the formatted signature
-    assert all(e.attrs["key"].startswith("main:x[")
+    # keys carry the formatted signature
+    assert all(e.attrs["key"].startswith("x[")
                for e in evictions)
 
 

@@ -38,7 +38,7 @@ def replica_run(engine, inputs):
     program = engine.host_program
     signature = program.signature(inputs)
     engine.plans.note(signature)
-    plan = engine.plans.get(("main", signature))
+    plan = engine.plans.get(signature)
     return engine._replay(plan, inputs)
 
 

