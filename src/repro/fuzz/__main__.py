@@ -100,18 +100,14 @@ def main(argv=None) -> int:
     config = GeneratorConfig()
     if args.max_nodes is not None:
         config.max_nodes = args.max_nodes
-    oracle = None
-    if args.lint or args.serving or args.batching or args.obs \
-            or args.tuning or args.fleet or args.memplan:
-        oracle = DifferentialOracle(
-            lint_level=LintLevel(args.lint_level) if args.lint
-            else LintLevel.OFF,
-            serving=args.serving, batching=args.batching, obs=args.obs,
-            tuning=args.tuning, fleet=args.fleet, memplan=args.memplan)
     report = run_campaign(
         seed=args.seed, iters=args.iters, config=config,
         out_dir=args.out, minimize_failures=not args.no_minimize,
-        oracle=oracle,
+        oracle=DifferentialOracle(
+            lint_level=LintLevel(args.lint_level) if args.lint
+            else LintLevel.OFF,
+            serving=args.serving, batching=args.batching, obs=args.obs,
+            tuning=args.tuning, fleet=args.fleet, memplan=args.memplan),
         bindings_per_graph=args.bindings_per_graph,
         log=lambda msg: print(msg, file=sys.stderr))
     print(report.summary())

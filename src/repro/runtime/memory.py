@@ -33,7 +33,7 @@ import numpy as np
 from ..core.codegen.exprs import (monomial_value, serialize_shape,
                                   shape_monomial)
 from ..ir.shapes import SymDim
-from ..numerics.resolve import resolve_all_dims
+from ..numerics.resolve import build_resolution_plan
 
 __all__ = ["BufferPlan", "Interval", "best_fit", "plan_buffers",
            "repack_for_class", "replan_peak_for_shape",
@@ -240,15 +240,14 @@ def _class_bindings(graph, assume_ranges: dict,
               for _, (lo, hi) in axes]
     if int(np.prod([len(p) for p in points], initial=1)) > max_bindings:
         points = [sorted({int(lo), int(hi)}) for _, (lo, hi) in axes]
-    bindings = []
-    for combo in itertools.product(*points):
-        dims = {name: value
-                for (name, _), value in zip(axes, combo)}
-        try:
-            resolve_all_dims(graph.nodes, dims)
-        except Exception:
-            return None
-        bindings.append(dims)
+    bindings = [{name: value for (name, _), value in zip(axes, combo)}
+                for combo in itertools.product(*points)]
+    try:
+        plan = build_resolution_plan(graph.nodes)
+        for dims in bindings:
+            plan.run(dims)
+    except Exception:
+        return None
     return bindings[:max_bindings]
 
 

@@ -190,6 +190,87 @@ def test_e12_numbers_match_the_full_artifact():
         in section
 
 
+def test_e9_numbers_match_the_artifact():
+    artifact = _artifact("e9_schedule_selection")
+    section = _section("E9")
+    tune = artifact["autotune"]
+    rows = {row["model"]: row for row in tune["rows"]}
+    s2t = rows["s2t"]
+    assert (f"{tune['geomean_kernel_speedup']:.2f}× geomean "
+            f"tuned-vs-heuristic on schedulable-kernel device time "
+            f"({tune['geomean_model_speedup']:.2f}× whole model; s2t best "
+            f"at {s2t['kernel_speedup']:.2f}×/{s2t['model_speedup']:.2f}×"
+            ) in section
+    assert (f"worst-case picks {tune['geomean_worst_penalty']:.2f}× "
+            f"*slower*") in section
+
+    def extremes(key):
+        ordered = sorted(rows, key=lambda model: key(rows[model]))
+        return ordered[0], ordered[-1]
+
+    low, high = extremes(lambda row: row["tuning_spent_us"])
+    assert (f"its {tune['budget_us'] / 1000:.0f} ms simulated budget "
+            f"({rows[low]['tuning_spent_us'] / 1000:.1f}–"
+            f"{rows[high]['tuning_spent_us'] / 1000:.1f} ms of search, "
+            f"{low} to {high}") in section
+    low, high = extremes(lambda row: row["enumerated"])
+    assert (f"{rows[low]['enumerated']:,}–{rows[high]['enumerated']:,} "
+            f"candidates enumerated per model") in section
+    low, high = extremes(lambda row: row["pruned"] / row["enumerated"])
+    assert (f"{rows[low]['pruned'] / rows[low]['enumerated']:.1%} ({low}) "
+            f"to {rows[high]['pruned'] / rows[high]['enumerated']:.1%} "
+            f"({high}) pruned before scoring") in section
+
+    sweep = artifact["shape_sweep"]["rows"]
+    assert (f"({sweep[0]['speedup']:.2f}→{sweep[-1]['speedup']:.2f}× as "
+            f"distinct shapes grow {sweep[0]['distinct_shapes']}→"
+            f"{sweep[-1]['distinct_shapes']})") in section
+
+
+#: artifact system name -> how EXPERIMENTS.md's E14 table names it.
+E14_NAMES = {"ONNXRuntime": "ONNX Runtime"}
+
+
+def test_e14_table_matches_the_artifact():
+    artifact = _artifact("e14_serving_tail_latency")
+    section = _section("E14")
+    # The text artifact prints system, p50, p95, p99, max, stalls, util.
+    printed = {cells[0]: cells
+               for cells in _text_table("e14_serving_tail_latency")}
+    assert {cells[0]: cells[1:] for cells in _table_rows("E14")[2:]} == {
+        E14_NAMES.get(name, name): [cells[1], cells[3], cells[5]]
+        for name, cells in printed.items()}
+    rows = {row["system"]: row for row in artifact["rows"]}
+    assert f"BERT at {artifact['arrival_rate_qps']:.0f} qps Poisson" \
+        in section
+    disc, torch = rows["BladeDISC"], rows["PyTorch"]
+    assert disc["p99_us"] < 2 * disc["p50_us"]
+    assert "BladeDISC's p99 stays within 2× of its p50" in section
+    assert (f"raises utilisation to {torch['utilization']:.2f} against "
+            f"BladeDISC's {disc['utilization']:.2f}") in section
+    assert (f"each of XLA's {rows['XLA']['compile_stalls']} mid-traffic "
+            f"recompiles") in section
+
+
+def test_e18_table_matches_the_artifact():
+    artifact = _artifact("e18_fleet_routing")
+    section = _section("E18")
+    assert _table_rows("E18")[2:] == [
+        [row["policy"], str(row["replicas"]), f"{row['p50_us']:,.0f}",
+         f"{row['p99_us']:,.0f}", str(row["fast"]), str(row["fallback"]),
+         str(row["recompiles"])]
+        for row in artifact["rows"] if row["replicas"] != 1]
+    assert (f"{artifact['num_queries']} single-sequence queries over "
+            f"{artifact['distinct_signatures']} distinct signatures") \
+        in section
+    gate = {row["policy"]: row for row in artifact["rows"]
+            if row["replicas"] == artifact["gate_replicas"]}
+    assert (f"At the {artifact['gate_replicas']}-replica gate affinity's "
+            f"p99 is **{artifact['p99_ratio_at_gate']:.2f}× below "
+            f"round-robin** ({gate['affinity']['p99_us'] / 1000:.1f} ms vs "
+            f"{gate['round_robin']['p99_us'] / 1000:.1f} ms)") in section
+
+
 def test_e17_quotes_the_pinned_e16_baseline():
     path = ROOT / "benchmarks" / "bench_e17_dynamic_batching.py"
     spec = importlib.util.spec_from_file_location("bench_e17", path)

