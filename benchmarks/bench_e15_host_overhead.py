@@ -16,12 +16,19 @@ A ``--quick`` run saves ``e15_host_overhead.quick.{json,txt}``, so it
 never overwrites the full run's artifact that EXPERIMENTS.md quotes.
 """
 
+import os
 import sys
 
-import pytest
+# One BLAS thread, set before numpy loads: on a 2-core host a threaded
+# matmul can stall a process for milliseconds per call, which would make
+# a wall-clock row measure the thread pool instead of the host program.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from repro.bench import (e15_host_overhead, format_host_overhead,
-                         print_and_save)
+import pytest  # noqa: E402
+
+from repro.bench import (e15_host_overhead,  # noqa: E402
+                         format_host_overhead, print_and_save)
 
 #: CI gate: warm host overhead must beat legacy by at least this factor.
 REQUIRED_SPEEDUP = 2.0

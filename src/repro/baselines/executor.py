@@ -12,6 +12,12 @@ that numerics are identical across systems, while the spec's cost knobs
 steer the simulated time.  Padding systems execute real shapes but are
 *charged* for the padded ones, exactly like a real padded engine wastes
 compute on filler rows.
+
+Construction builds what :meth:`SimulatedBaseline.charge` reads: the
+fusion plan and every kernel's cost recipe.  The kernel code and host
+program are built on the first :meth:`SimulatedBaseline.run`, so a
+baseline that is only ever charged (the serving fallback's) never
+generates them.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ..core.codegen.kernels import compile_group
+from ..core.codegen.kernels import cost_group, emit_kernel
 from ..core.fusion.kinds import FusionConfig
 from ..core.fusion.planner import plan_fusion
 from ..core.symbolic import ConstraintLevel, analyze_shapes
@@ -35,7 +41,7 @@ from ..passes import (AlgebraicSimplify, CommonSubexpressionElimination,
                       PassManager, PlaceShapeComputations)
 from ..runtime.caches import shape_signature
 from ..runtime.engine import EngineOptions, charge_kernel
-from ..runtime.hostprog import lower_program
+from ..runtime.hostprog import HostProgram, lower_program
 from .base import Executor
 
 __all__ = ["BaselineSpec", "SimulatedBaseline", "pow2_bucket"]
@@ -111,13 +117,9 @@ class SimulatedBaseline(Executor):
         users = working.users()
         self.working = working
         self.plan = plan
-        self.kernels = [compile_group(group, users, working.outputs)
+        self.kernels = [cost_group(group, users, working.outputs)
                         for group in plan.ordered_groups()]
-        self.constants = {
-            node: node.attrs["value"].astype(node.dtype.to_numpy(),
-                                             copy=False)
-            for node in working.nodes if node.op == "constant"}
-        self.program = lower_program(working, self.kernels, self.constants)
+        self._program: HostProgram | None = None
         # The shared charge reads its kernel quality from engine options;
         # baselines always charge host-placed ops as host work.
         self._charge_options = EngineOptions(
@@ -125,6 +127,22 @@ class SimulatedBaseline(Executor):
         #: cache keys of every compile charged so far.
         self._compiled: set = set()
         self._compiled_once = False
+
+    @property
+    def program(self) -> HostProgram:
+        """The host program, built on first use with every kernel's
+        code: :meth:`charge` needs neither."""
+        if self._program is None:
+            for kernel in self.kernels:
+                emit_kernel(kernel)
+            working = self.working
+            constants = {
+                node: node.attrs["value"].astype(node.dtype.to_numpy(),
+                                                 copy=False)
+                for node in working.nodes if node.op == "constant"}
+            self._program = lower_program(working, self.kernels,
+                                          constants)
+        return self._program
 
     # -- serving ----------------------------------------------------------
 

@@ -11,6 +11,10 @@
   concrete arrays plus the ``dims`` bindings; the recipe and the selected
   schedule variant instantiate a :class:`KernelSpec` for the device cost
   model.  Nothing is recompiled when shapes change.
+
+The two halves are :func:`cost_group` (the recipe) and :func:`emit_kernel`
+(source and callable), so a kernel that is only ever charged — the
+simulated baselines until they first run — never generates code.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from .exprs import (emit_statement, monomial_value, polynomial_value,
 from .schedules import HEURISTIC_SELECTOR, Schedule, ScheduleSelector
 from .support import SUPPORT_NAMESPACE
 
-__all__ = ["CompiledKernel", "CostRecipe", "compile_group"]
+__all__ = ["CompiledKernel", "CostRecipe", "compile_group", "cost_group",
+           "emit_kernel"]
 
 
 @dataclass
@@ -107,8 +112,10 @@ class CompiledKernel:
     members: list
     input_nodes: list
     output_nodes: list
+    #: generated source and its callable; "" and None until
+    #: :func:`emit_kernel` runs.
     source: str
-    fn: Callable
+    fn: Callable | None
     recipe: CostRecipe
     #: ``(batch_a, batch_b, m, k, n)`` monomials of the matmul when kind
     #: is LIBRARY (drives library efficiency).
@@ -224,13 +231,46 @@ class CompiledKernel:
 def compile_group(group: FusionGroup, users: dict,
                   graph_outputs: Sequence[Node]) -> CompiledKernel:
     """Emit, compile and cost-annotate one fusion group."""
+    kernel = cost_group(group, users, graph_outputs)
+    emit_kernel(kernel)
+    return kernel
+
+
+def cost_group(group: FusionGroup, users: dict,
+               graph_outputs: Sequence[Node]) -> CompiledKernel:
+    """One fusion group's kernel with its cost recipe but no code yet.
+
+    That is all a charge reads; :func:`emit_kernel` adds the callable
+    before the kernel can run.
+    """
     members = list(group.members)
     input_nodes = group.inputs()
     output_nodes = group.outputs(users, graph_outputs)
-    name = f"{group.kind.value}_{group.group_id}"
+    library_dims = None
+    if group.kind is FusionKind.LIBRARY and members[0].op == "dot":
+        a, b = members[0].inputs
+        library_dims = _dot_monomials(serialize_shape(a.shape),
+                                      serialize_shape(b.shape))
+    return CompiledKernel(
+        name=f"{group.kind.value}_{group.group_id}",
+        kind=group.kind,
+        members=members,
+        input_nodes=input_nodes,
+        output_nodes=output_nodes,
+        source="",
+        fn=None,
+        recipe=_build_recipe(group, members, input_nodes, output_nodes),
+        library_dims=library_dims,
+    )
 
+
+def emit_kernel(kernel: CompiledKernel) -> None:
+    """Generate ``kernel``'s Python source and ``exec`` it into ``fn``."""
+    name = kernel.name
+    input_nodes = kernel.input_nodes
+    output_nodes = kernel.output_nodes
     names: dict[Node, str] = {}
-    for node in input_nodes + members:
+    for node in input_nodes + kernel.members:
         names[node] = f"v{node.id}"
 
     lines = [f"def {name}(args, dims):"]
@@ -238,35 +278,16 @@ def compile_group(group: FusionGroup, users: dict,
         unpack = ", ".join(names[n] for n in input_nodes)
         trailing = "," if len(input_nodes) == 1 else ""
         lines.append(f"    ({unpack}{trailing}) = args")
-    for node in members:
+    for node in kernel.members:
         lines.append("    " + emit_statement(node, names))
     returns = ", ".join(names[n] for n in output_nodes)
     trailing = "," if len(output_nodes) == 1 else ""
     lines.append(f"    return ({returns}{trailing})")
-    source = "\n".join(lines)
+    kernel.source = "\n".join(lines)
 
     namespace = dict(SUPPORT_NAMESPACE)
-    exec(compile(source, f"<kernel {name}>", "exec"), namespace)
-    fn = namespace[name]
-
-    recipe = _build_recipe(group, members, input_nodes, output_nodes)
-    library_dims = None
-    if group.kind is FusionKind.LIBRARY and members[0].op == "dot":
-        a, b = members[0].inputs
-        library_dims = _dot_monomials(serialize_shape(a.shape),
-                                      serialize_shape(b.shape))
-
-    return CompiledKernel(
-        name=name,
-        kind=group.kind,
-        members=members,
-        input_nodes=input_nodes,
-        output_nodes=output_nodes,
-        source=source,
-        fn=fn,
-        recipe=recipe,
-        library_dims=library_dims,
-    )
+    exec(compile(kernel.source, f"<kernel {name}>", "exec"), namespace)
+    kernel.fn = namespace[name]
 
 
 def _build_recipe(group: FusionGroup, members: list, input_nodes: list,

@@ -34,7 +34,7 @@ from ..ir.graph import Graph
 from ..ir.shapes import substitute
 from ..lint.diagnostics import LintLevel
 from ..lint.engine import lint_graph
-from ..lint.fusion_checks import check_fusion_plan
+from ..lint.fusion_checks import check_plan_structure
 from ..lint.graph_checks import check_graph
 from ..lint.interval_checks import check_memory_symbolic
 from ..lint.memory_checks import check_buffer_plan
@@ -309,7 +309,7 @@ def _invariant_diagnostics(executable) -> list:
     them: graph errors (the graph analyzer), an acyclic (L206) total
     partition (L207) of the compute nodes (the fusion auditor), and no
     slot shared between overlapping live ranges (L301)."""
-    fusion = check_fusion_plan(executable.plan)
+    fusion = check_plan_structure(executable.plan)
     return (check_graph(executable.graph).errors()
             + fusion.by_code("L206") + fusion.by_code("L207")
             + check_buffer_plan(executable.buffer_plan).by_code("L301"))

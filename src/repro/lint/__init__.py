@@ -30,7 +30,7 @@ from .blame import BlameRecord, BlameRecorder
 from .diagnostics import (CODE_REGISTRY, CodeInfo, Diagnostic,
                           DiagnosticSink, LintLevel, Severity, code_info)
 from .engine import lint_compiled, lint_executable, lint_graph
-from .fusion_checks import check_fusion_plan
+from .fusion_checks import check_fusion_plan, check_plan_structure
 from .graph_checks import check_graph
 from .hostprog_checks import check_host_program
 from .interval_checks import (check_bucket_padding, check_intervals,
@@ -52,6 +52,7 @@ __all__ = [
     "check_graph",
     "check_symbols",
     "check_fusion_plan",
+    "check_plan_structure",
     "check_buffer_plan",
     "check_host_program",
     "check_pass_spans",

@@ -18,6 +18,10 @@ during construction:
 - **L205** — a group exceeds a configured resource bound (warning);
 - **L206** — the group-contracted graph has a cycle (plan not executable);
 - **L207** — the plan is not a total partition of the compute nodes.
+
+:func:`check_plan_structure` runs only the two plan-level checks (L206,
+L207), which need no shape analysis; :func:`check_fusion_plan` runs them
+plus every per-group audit.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from ..core.symbolic.analysis import collect_node_facts
 from ..ir.ops import OpCategory
 from .diagnostics import DiagnosticSink
 
-__all__ = ["check_fusion_plan"]
+__all__ = ["check_fusion_plan", "check_plan_structure"]
 
 
 def _tolerant_full_analysis(graph) -> ShapeAnalysis:
@@ -62,14 +66,22 @@ def check_fusion_plan(plan: FusionPlan,
     audit never trusts the object the planner consumed; ``config`` defaults
     to the stock :class:`FusionConfig` bounds.
     """
-    sink = sink if sink is not None else DiagnosticSink()
+    sink = check_plan_structure(plan, sink)
     if analysis is None:
         analysis = _tolerant_full_analysis(plan.graph)
     config = config or FusionConfig()
-
-    _check_partition(plan, sink)
     for group in plan.groups:
         _check_group(group, plan, analysis, config, sink)
+    return sink
+
+
+def check_plan_structure(plan: FusionPlan,
+                         sink: DiagnosticSink | None = None
+                         ) -> DiagnosticSink:
+    """The plan-level checks alone: a total partition of the compute
+    nodes (L207) whose group-contracted graph is acyclic (L206)."""
+    sink = sink if sink is not None else DiagnosticSink()
+    _check_partition(plan, sink)
     _check_executability(plan, sink)
     return sink
 

@@ -6,7 +6,7 @@ from .engine import (EngineOptions, ExecutionEngine,
 from .executable import CompileReport, Executable
 from .hostprog import HostInstruction, HostProgram, lower_program
 from .launchplan import (BatchLaunchPlan, LaunchPlan, LaunchPlanCache,
-                         format_signature)
+                         SharedPlans, format_signature)
 from .memory import (BufferPlan, Interval, plan_buffers,
                      replan_peak_for_shape, scale_batched_memory)
 from .symplan import (MemoryBudget, SlotExtent, SymbolicBufferPlan,
@@ -18,7 +18,8 @@ __all__ = [
     "charge_kernel",
     "CompileReport", "Executable",
     "HostInstruction", "HostProgram", "lower_program",
-    "BatchLaunchPlan", "LaunchPlan", "LaunchPlanCache", "format_signature",
+    "BatchLaunchPlan", "LaunchPlan", "LaunchPlanCache", "SharedPlans",
+    "format_signature",
     "BufferPlan", "Interval", "plan_buffers",
     "replan_peak_for_shape", "scale_batched_memory",
     "MemoryBudget", "SlotExtent", "SymbolicBufferPlan",

@@ -39,7 +39,7 @@ from ..obs.tracer import resolve_tracer
 from .executable import Executable
 from .hostprog import HostProgram
 from .launchplan import (BatchLaunchPlan, LaunchPlan, LaunchPlanCache,
-                         format_signature)
+                         SharedPlans, format_signature)
 from .memory import scale_batched_memory
 
 __all__ = ["EngineOptions", "ExecutionEngine", "LegacyExecutionEngine",
@@ -128,15 +128,30 @@ class ExecutionEngine:
     holding an ``engine:record`` or ``engine:replay`` child with
     per-kernel launch spans.  The untraced path runs the host program
     with no hook: ``run`` dispatches once on ``tracer.enabled``.
+
+    ``shared_plans`` (None = none) is a memo of ``executable``'s frozen
+    plans that other engines also freeze into: a heuristic freeze it
+    already holds is taken from it, not charged again.
     """
 
     def __init__(self, executable: Executable, device: DeviceProfile,
                  options: EngineOptions | None = None, *,
-                 tracer=None) -> None:
+                 tracer=None,
+                 shared_plans: SharedPlans | None = None) -> None:
         self.executable = executable
         self.device = device
-        self.options = options or EngineOptions()
+        self.options = options = options or EngineOptions()
         self.tracer = resolve_tracer(tracer)
+        if shared_plans is not None \
+                and shared_plans.executable is not executable:
+            raise ValueError("shared plans belong to another executable")
+        self.shared_plans = shared_plans
+        #: everything a heuristic freeze reads besides the signature and
+        #: the batch: the shared-plan key's prefix.
+        self._freeze_key = (device, options.base_efficiency,
+                            options.dispatch_us_per_kernel,
+                            options.fixed_schedule,
+                            options.host_placement_enabled)
         self.host_program: HostProgram = executable.host_program
         self.plans = LaunchPlanCache(self.options.plan_capacity,
                                      tracer=tracer)
@@ -164,7 +179,7 @@ class ExecutionEngine:
         plan = self.plans.get(signature)
         if plan is not None:
             return self._replay(plan, inputs)
-        plan = self._freeze(signature, program.bind(inputs))
+        plan = self._plan(signature, program.bind, inputs)
         result = self._replay(plan, inputs)
         self.plans.put(signature, plan)
         return result
@@ -184,7 +199,7 @@ class ExecutionEngine:
             path = "replay" if hit else "record"
             with tracer.span(f"engine:{path}") as child:
                 if not hit:
-                    plan = self._freeze(signature, program.bind(inputs))
+                    plan = self._plan(signature, program.bind, inputs)
                 launches = None if hit else plan.launches
                 with _KernelSpans(tracer, launches) as hook:
                     outputs, stats = self._replay(plan, inputs, hook)
@@ -225,8 +240,8 @@ class ExecutionEngine:
                 return existing
         tracer = self.tracer
         with tracer.span("engine:prepare") as span:
-            plan = self._freeze(signature, program.bind(inputs),
-                                selector=selector)
+            plan = self._plan(signature, program.bind, inputs,
+                              selector=selector)
             self.plans.put(signature, plan)
             if tracer.enabled:
                 span.set(signature=format_signature(signature),
@@ -264,8 +279,9 @@ class ExecutionEngine:
             return existing
         tracer = self.tracer
         with tracer.span("engine:prepare_batched") as span:
-            dims = self.host_program.bind_signature(signature)
-            plan = self._freeze(signature, dims, batch=batch_size)
+            plan = self._plan(signature,
+                              self.host_program.bind_signature, signature,
+                              batch=batch_size)
             self.plans.put(key, plan)
             if tracer.enabled:
                 span.set(signature=format_signature(key[1]),
@@ -294,19 +310,40 @@ class ExecutionEngine:
 
     # -- the one plan-freeze path and the one replay path ------------------
 
+    def _plan(self, signature: tuple, bind, source, *, selector=None,
+              batch: int | None = None) -> LaunchPlan:
+        """The plan :meth:`_freeze` freezes at ``bind(source)``'s dims.
+
+        With ``shared_plans``, a heuristic plan (no ``selector``) is
+        frozen once and shared: equal keys mean equal signatures, so the
+        memo's plan is exactly the one this freeze would make.  A tuned
+        freeze stays this engine's own.
+        """
+        shared = self.shared_plans
+        if shared is None or selector is not None:
+            return self._freeze(signature, bind(source), selector=selector,
+                                batch=batch)
+        key = (self._freeze_key, signature, batch)
+        plan = shared.get(key)
+        if plan is None:
+            plan = self._freeze(signature, bind(source), batch=batch)
+            shared[key] = plan
+        return plan
+
     def _freeze(self, signature: tuple, dims: dict, *, selector=None,
                 batch: int | None = None) -> LaunchPlan:
         """Charge every kernel at ``dims`` and freeze the result.
 
         The plan-freeze path shared by :meth:`run`'s miss path,
-        :meth:`prepare` and :meth:`prepare_batched`.  It touches no
-        tensor data: no kernel adds a binding to ``dims`` once the host
-        program has bound them, so charging before execution charges
-        what charging alongside it would.  ``batch`` (None = a solo
-        plan) freezes a :class:`BatchLaunchPlan` for that many stacked
-        members of ``signature`` — a batch of one is still a batched
-        plan.  The per-instruction launch counts are frozen too, for the
-        traced record path's kernel spans.
+        :meth:`prepare` and :meth:`prepare_batched` (through
+        :meth:`_plan`).  It touches no tensor data: no kernel adds a
+        binding to ``dims`` once the host program has bound them, so
+        charging before execution charges what charging alongside it
+        would.  ``batch`` (None = a solo plan) freezes a
+        :class:`BatchLaunchPlan` for that many stacked members of
+        ``signature`` — a batch of one is still a batched plan.  The
+        per-instruction launch counts are frozen too, for the traced
+        record path's kernel spans.
         """
         options = self.options
         forced: Schedule | None = None

@@ -12,10 +12,16 @@ The cache is keyed on the host program's param-order signature (a
 batched plan's key adds a fixed ``@batch`` marker to its batched
 signature), bounded, and LRU-evicting.  It also counts the distinct
 signatures called, next to its hit/miss/eviction statistics.
+
+A frozen plan is immutable, so engines that would freeze the same plan
+may share it: :class:`SharedPlans` is that memo for one executable (a
+fleet keeps one per model for its replicas).  Each engine still installs
+the plan in its own cache, with its own statistics.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from typing import Hashable
 
@@ -23,7 +29,7 @@ from ..device.counters import RunStats
 from ..obs.tracer import resolve_tracer
 
 __all__ = ["BatchLaunchPlan", "LaunchPlan", "LaunchPlanCache",
-           "format_signature"]
+           "SharedPlans", "format_signature"]
 
 
 def format_signature(signature: tuple) -> str:
@@ -53,7 +59,7 @@ class LaunchPlan:
     __slots__ = ("signature", "dims", "device_time_us", "host_time_us",
                  "kernels_launched", "bytes_read", "bytes_written",
                  "flops", "memory", "memory_class", "schedules", "tuned",
-                 "launches")
+                 "launches", "__weakref__")
 
     def __init__(self, signature: tuple, dims: dict,
                  device_time_us: float, host_time_us: float,
@@ -163,6 +169,20 @@ class BatchLaunchPlan(LaunchPlan):
             "padded_signature": format_signature(self.member_signature),
         }
         return stats
+
+
+class SharedPlans(weakref.WeakValueDictionary):
+    """The frozen plans of one executable, shared by engines running it.
+
+    Keys are the engine's freeze key (device, the options a freeze
+    reads, signature, batch).  Values are weak: a plan lives only while
+    some cache (or caller) holds it, so a plan every cache evicted is
+    collectable and the memo never pins memory.
+    """
+
+    def __init__(self, executable) -> None:
+        super().__init__()
+        self.executable = executable
 
 
 class LaunchPlanCache:

@@ -325,9 +325,10 @@ class BatchingServingEngine(ServingEngine):
     # -- registration ------------------------------------------------------
 
     def register_model(self, name, model, compile_options=None, *,
-                       fallback=None):
+                       fallback=None, shared_plans=None):
         entry = super().register_model(name, model, compile_options,
-                                       fallback=fallback)
+                                       fallback=fallback,
+                                       shared_plans=shared_plans)
         bucketer = ShapeBucketer(
             entry.executable.graph, entry.engine.host_program.params,
             self.batching.pad_policy)

@@ -45,7 +45,7 @@ from ..lint import LintLevel, lint_executable
 from ..obs.tracer import resolve_tracer
 from ..runtime.engine import EngineOptions, ExecutionEngine
 from ..runtime.executable import Executable
-from ..runtime.launchplan import format_signature
+from ..runtime.launchplan import SharedPlans, format_signature
 from ..tuning import ScheduleTuner, TuningOptions
 from .compilepool import (BackgroundCompilePool, CompileState,
                           PermanentCompileError, SignatureCompileCost,
@@ -362,13 +362,16 @@ class ServingEngine:
     def register_model(self, name: str,
                        model: Graph | Executable,
                        compile_options: CompileOptions | None = None,
-                       *, fallback: EagerFallback | None = None
+                       *, fallback: EagerFallback | None = None,
+                       shared_plans: SharedPlans | None = None
                        ) -> _ModelEntry:
         """Compile (if needed), lint-gate, and install a model.
 
         ``fallback`` is an eager fallback already built for ``model``'s
-        executable (a fleet builds one per model and shares it across
-        its replicas); None builds this engine's own.
+        executable and ``shared_plans`` a frozen-plan memo for it (a
+        fleet builds one of each per model and shares them across its
+        replicas); None builds this engine's own fallback and shares no
+        plan.
         """
         if name in self._models:
             raise ValueError(f"model {name!r} already registered")
@@ -386,7 +389,8 @@ class ServingEngine:
                     f"{self.options.lint_level.value}: {rendered}")
         engine = ExecutionEngine(executable, self.device,
                                  self.options.engine,
-                                 tracer=self._raw_tracer)
+                                 tracer=self._raw_tracer,
+                                 shared_plans=shared_plans)
         if fallback is None:
             fallback = EagerFallback(executable, self.device)
         duration = self.options.compile_cost.duration_us(

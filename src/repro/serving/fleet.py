@@ -48,7 +48,7 @@ from ..device.profiles import DeviceProfile
 from ..ir.graph import Graph
 from ..obs.tracer import resolve_tracer
 from ..runtime.executable import Executable
-from ..runtime.launchplan import format_signature
+from ..runtime.launchplan import SharedPlans, format_signature
 from .batching import BatchingOptions, BatchingServingEngine
 from .engine import (Request, Response, ResponseStatus, ServingEngine,
                      ServingOptions, Ticket)
@@ -230,10 +230,10 @@ class FleetEngine:
             self.options.tenant_quotas, self.options.default_quota)
         self._compile_fault_factory = compile_fault_factory
         self._tuning_fault_factory = tuning_fault_factory
-        #: model name -> (executable, compile_options, shared eager
-        #: fallback) for replica boots.
+        #: model name -> (executable, compile_options, what every
+        #: replica shares: ``register_model`` keywords) for replica boots.
         self._registry: dict[str, tuple[Executable, CompileOptions | None,
-                                        EagerFallback]] = {}
+                                        dict]] = {}
         self._replicas: list[_Replica] = []
         self.retired: list[_Replica] = []
         self._next_uid = 0
@@ -288,9 +288,9 @@ class FleetEngine:
                 self.device, self.scheduler, serving,
                 tracer=self._raw_tracer, name=name, **faults)
         for model, (executable, compile_options,
-                    fallback) in self._registry.items():
+                    shared) in self._registry.items():
             engine.register_model(model, executable, compile_options,
-                                  fallback=fallback)
+                                  **shared)
         now = self.scheduler.now_us()
         replica = _Replica(name, uid, engine, now)
         self._replicas.append(replica)
@@ -367,7 +367,9 @@ class FleetEngine:
         the same lowering instead of compiling it N times.  So is one
         eager fallback: its PyTorch cost model never compiles, so a
         charge reads no state an earlier charge wrote, and every replica
-        (including ones booted later) charges through the same one.
+        (including ones booted later) charges through the same one.  And
+        so is one frozen-plan memo: the replicas freeze each heuristic
+        plan once, while each keeps its own plan cache and statistics.
         """
         if name in self._registry:
             raise ValueError(f"model {name!r} already registered")
@@ -378,7 +380,9 @@ class FleetEngine:
         fallback = EagerFallback(executable, self.device)
         assert fallback.eager.spec.compile_policy == "none", \
             "a shared eager fallback must charge statelessly"
-        self._registry[name] = (executable, compile_options, fallback)
+        self._registry[name] = (executable, compile_options, {
+            "fallback": fallback,
+            "shared_plans": SharedPlans(executable)})
         self._model_footprints[name] = self._footprint_of(executable)
         if self.memory_budget is not None:
             total = self.replica_footprint_bytes()
@@ -395,7 +399,7 @@ class FleetEngine:
         for replica in self._replicas:
             replica.engine.register_model(name, executable,
                                           compile_options,
-                                          fallback=fallback)
+                                          **self._registry[name][2])
 
     # -- memory accounting ---------------------------------------------------
 

@@ -166,3 +166,56 @@ def test_unknown_policy_rejected(rng):
         compile_policy="sometimes"))
     with pytest.raises(ValueError):
         executor.run(toy_mlp_inputs(rng, 2, 3))
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Counts the baseline's kernel-code and host-program builds."""
+    from repro.baselines import executor as executor_module
+    counts = {"emitted": 0, "lowered": 0}
+    emit, lower = executor_module.emit_kernel, executor_module.lower_program
+
+    def counting_emit(kernel):
+        counts["emitted"] += 1
+        return emit(kernel)
+
+    def counting_lower(*args):
+        counts["lowered"] += 1
+        return lower(*args)
+
+    monkeypatch.setattr(executor_module, "emit_kernel", counting_emit)
+    monkeypatch.setattr(executor_module, "lower_program", counting_lower)
+    return counts
+
+
+def test_eager_fallback_is_charge_only_until_it_runs(rng, build_counts):
+    from repro.baselines.systems import PYTORCH
+    from repro.core import compile_graph
+    from repro.serving.fallback import EagerFallback
+
+    b = toy_mlp_graph()
+    exe = compile_graph(b.graph)
+    fallback = EagerFallback(exe, A10)
+    eager = fallback.eager
+    assert build_counts == {"emitted": 0, "lowered": 0}
+    assert all(k.fn is None and k.source == "" for k in eager.kernels)
+
+    # The charge reads recipes only, and equals a fully built baseline's.
+    built = SimulatedBaseline(exe.graph, A10, PYTORCH)
+    for batch, seq in [(2, 3), (5, 9)]:
+        inputs = toy_mlp_inputs(rng, batch, seq)
+        __, expected = built.run(inputs)
+        outputs, stats = fallback.run(inputs)
+        assert stats == expected
+    assert all(k.fn is None for k in eager.kernels)
+    built_counts = dict(build_counts)
+
+    # A first run builds every kernel and the host program, once.
+    inputs = toy_mlp_inputs(rng, 4, 7)
+    (actual,), __ = eager.run(inputs)
+    eager.run(inputs)
+    assert build_counts["emitted"] - built_counts["emitted"] == \
+        len(eager.kernels)
+    assert build_counts["lowered"] - built_counts["lowered"] == 1
+    (expected,) = evaluate(exe.graph, inputs)
+    assert np.allclose(expected, actual, atol=1e-5)

@@ -16,7 +16,7 @@ from repro.core.pipeline import CompileOptions
 from repro.device import A10
 from repro.fuzz import CompileFaultInjector, TunerFaultInjector
 from repro.obs import MetricsRegistry, Tracer
-from repro.runtime import ExecutionEngine, MemoryBudget
+from repro.runtime import EngineOptions, ExecutionEngine, MemoryBudget
 from repro.serving import (Arrival, AutoscalerOptions, BatchingOptions,
                            ClusterSim, FleetEngine, FleetOptions, ReplicaState,
                            ResponseStatus, ServingOptions,
@@ -450,6 +450,101 @@ def test_replicas_share_one_eager_baseline_per_model(
     scheduler.run_until_idle()
     assert [t.response.path for t in tickets] == ["fallback"] * 2
     assert len({t.replica for t in tickets}) == 2
+
+
+PREWARM_SHAPES = [(3, 5), (4, 7), (2, 2), (1, 9), (3, 5)]
+
+
+def prewarmed_fleet(exe, **serving_overrides):
+    """A 2-replica batching fleet with every solo plan and every batched
+    plan (each padded bucket at batch 2 and 4) prepared on each replica,
+    the way the fleet-batch benchmark pre-warms its fleet."""
+    batching = BatchingOptions(max_batch_size=4)
+    scheduler, fleet = make_fleet(
+        exe, fleet={"replicas": 2, "batching": batching},
+        **serving_overrides)
+    rng = np.random.default_rng(5)
+    payloads = [toy_mlp_inputs(rng, b, s) for b, s in PREWARM_SHAPES]
+    for replica in fleet.replicas():
+        serving = replica.engine
+        engine = serving.model("mlp").engine
+        solo = {engine.host_program.signature(p): p for p in payloads}
+        for signature, payload in solo.items():
+            engine.prepare(payload, signature)
+        bucketer = serving.bucketer("mlp")
+        for padded in {bucketer.padded_signature(s) for s in solo}:
+            for size in (2, 4):
+                engine.prepare_batched(padded, size)
+    return scheduler, fleet, payloads
+
+
+def test_a_fleet_freezes_each_plan_once(toy_exe, monkeypatch):
+    freezes = []
+    freeze = ExecutionEngine._freeze
+
+    def counting_freeze(self, signature, dims, **kwargs):
+        freezes.append((signature, kwargs.get("batch")))
+        return freeze(self, signature, dims, **kwargs)
+
+    monkeypatch.setattr(ExecutionEngine, "_freeze", counting_freeze)
+    __, fleet, payloads = prewarmed_fleet(toy_exe)
+    r0, r1 = (r.engine.model("mlp").engine for r in fleet.replicas())
+    solo = {r0.host_program.signature(p) for p in payloads}
+    padded = {fleet.replicas()[0].engine.bucketer("mlp").padded_signature(s)
+              for s in solo}
+    assert sorted(freezes, key=repr) == sorted(
+        [(s, None) for s in solo]
+        + [(p, size) for p in padded for size in (2, 4)], key=repr)
+    # Both replicas hold the one frozen object in their own caches.
+    for signature in solo:
+        assert r0.peek_plan(signature) is r1.peek_plan(signature)
+    for signature in padded:
+        assert r0.peek_batched(signature, 4) is \
+            r1.peek_batched(signature, 4)
+
+
+def test_shared_plans_keep_each_replicas_cache_stats(toy_exe, monkeypatch):
+    def serve(fleet, scheduler, payloads):
+        tickets = [fleet.submit("mlp", p) for p in payloads * 3]
+        scheduler.run_until_idle()
+        return ([t.response.outputs for t in tickets],
+                [t.response.stats for t in tickets],
+                [r.engine.model("mlp").engine.plans.stats()
+                 for r in fleet.replicas()])
+
+    scheduler, fleet, payloads = prewarmed_fleet(toy_exe)
+    shared = serve(fleet, scheduler, payloads)
+    from repro.serving import fleet as fleet_module
+    monkeypatch.setattr(fleet_module, "SharedPlans",
+                        lambda executable: None)
+    scheduler, fleet, payloads = prewarmed_fleet(toy_exe)
+    assert fleet.replicas()[0].engine.model("mlp").engine.shared_plans \
+        is None
+    alone = serve(fleet, scheduler, payloads)
+    assert shared[2] == alone[2]
+    assert shared[1] == alone[1]
+    assert all(bit_identical(a, b) for a, b in zip(shared[0], alone[0]))
+
+
+def test_a_plan_every_cache_evicted_is_collectable(toy_exe, inputs_a,
+                                                   inputs_b):
+    import gc
+    import weakref
+    scheduler, fleet = make_fleet(
+        toy_exe, fleet={"replicas": 2},
+        engine=EngineOptions(plan_capacity=1))
+    engines = [r.engine.model("mlp").engine for r in fleet.replicas()]
+    for engine in engines:
+        engine.prepare(inputs_a)
+    plan = weakref.ref(engines[0].peek_plan(
+        engines[0].host_program.signature(inputs_a)))
+    engines[0].prepare(inputs_b)
+    gc.collect()
+    assert plan() is not None          # replica r1 still caches it
+    engines[1].prepare(inputs_b)
+    gc.collect()
+    assert plan() is None
+    assert len(engines[0].shared_plans) == 1
 
 
 @pytest.mark.parametrize("batching", [False, True])
