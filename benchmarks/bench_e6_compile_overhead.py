@@ -7,9 +7,9 @@ point: BladeDISC pays this once per *model*, not per shape.
 
 That point only holds if compile time stays linear in graph depth, so
 the table also sweeps bert over 4, 12 and 24 layers and reports µs per
-node (best of 3 compiles).  The perf-smoke gate pins it: µs/node at the
-deepest depth may be at most ``MAX_DEPTH_RATIO`` times that at the
-shallowest.
+node (best of 5 rounds, each compiling every depth once).  The
+perf-smoke gate pins it: µs/node at the deepest depth may be at most
+``MAX_DEPTH_RATIO`` times that at the shallowest.
 
 Runnable directly as a perf-smoke gate (used by CI)::
 
@@ -28,7 +28,7 @@ from repro.bench import e6_compile_overhead, format_compile_overhead, \
     print_and_save
 from repro.core import DiscCompiler
 
-#: CI gate: best-of-3 µs/node at the deepest bert over the shallowest.
+#: CI gate: best-of-5 µs/node at the deepest bert over the shallowest.
 MAX_DEPTH_RATIO = 1.6
 
 

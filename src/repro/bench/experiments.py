@@ -324,6 +324,8 @@ def format_codegen_strategies(result: dict) -> str:
 
 #: bert depths of E6's compile-time sweep (``BENCH_MODELS`` bert width).
 E6_DEPTHS = (4, 12, 24)
+#: rounds of that sweep; each compiles every depth once.
+E6_ROUNDS = 5
 
 
 def e6_compile_overhead(models: list | None = None,
@@ -363,25 +365,29 @@ def e6_compile_overhead(models: list | None = None,
 
 
 def e6_depth_sweep(depths: tuple = E6_DEPTHS) -> list:
-    """Best-of-3 pipeline wall time of bert at each depth.
+    """Best-of-``E6_ROUNDS`` pipeline wall time of bert at each depth.
 
     Compiling once per model is only cheap if compile time grows
-    linearly with the graph, so the row to watch is µs per node.
+    linearly with the graph, so the row to watch is µs per node.  Each
+    round compiles every depth once, so load that comes and goes on a
+    shared host reaches every depth's rounds alike instead of one
+    depth's back-to-back compiles.
     """
-    rows = []
-    for layers in depths:
-        model = build_model("bert", **{**BENCH_MODELS["bert"],
-                                       "layers": layers})
-        walls = []
-        for _ in range(3):
+    graphs = [build_model("bert", **{**BENCH_MODELS["bert"],
+                                     "layers": layers}).graph
+              for layers in depths]
+    walls = [[] for _ in depths]
+    nodes = [0] * len(depths)
+    for _ in range(E6_ROUNDS):
+        for index, graph in enumerate(graphs):
             start = time.perf_counter()
-            executable = DiscCompiler(CompileOptions()).compile(model.graph)
-            walls.append(time.perf_counter() - start)
-        nodes = executable.report.num_nodes
-        rows.append({"layers": layers, "nodes": nodes,
-                     "pipeline_wall_s": min(walls),
-                     "us_per_node": min(walls) / nodes * 1e6})
-    return rows
+            executable = DiscCompiler(CompileOptions()).compile(graph)
+            walls[index].append(time.perf_counter() - start)
+            nodes[index] = executable.report.num_nodes
+    return [{"layers": layers, "nodes": count,
+             "pipeline_wall_s": min(times),
+             "us_per_node": min(times) / count * 1e6}
+            for layers, count, times in zip(depths, nodes, walls)]
 
 
 def format_compile_overhead(result: dict) -> str:
@@ -401,7 +407,7 @@ def format_compile_overhead(result: dict) -> str:
         ["bert layers", "nodes", "pipeline wall (s)", "us/node"],
         [[r["layers"], r["nodes"], r["pipeline_wall_s"], r["us_per_node"]]
          for r in result["depth"]],
-        "Compile time versus depth (best of 3)")
+        f"Compile time versus depth (best of {E6_ROUNDS} rounds)")
     return text + "\n\n" + depth
 
 

@@ -15,7 +15,6 @@ queue exactly as a real synchronous compile would.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,11 +30,6 @@ class ServingResult:
     service_us: list = field(default_factory=list)
     duration_us: float = 0.0
     compile_stalls: int = 0
-    #: real host wall-clock per call (only when measured; see
-    #: ``simulate_serving(measure_host_wall=True)``).  Distinct from the
-    #: simulated service times above: this is what the Python host side
-    #: actually costs, the quantity E15 optimises.
-    host_wall_us: list = field(default_factory=list)
 
     def percentile(self, q: float) -> float:
         if not self.latencies_us:
@@ -70,14 +64,8 @@ class ServingResult:
             return 0.0
         return min(1.0, sum(self.service_us) / self.duration_us)
 
-    @property
-    def mean_host_wall_us(self) -> float:
-        if not self.host_wall_us:
-            return 0.0
-        return float(np.mean(self.host_wall_us))
-
     def summary(self) -> dict:
-        result = {
+        return {
             "queries": len(self.latencies_us),
             "p50_us": self.p50_us,
             "p95_us": self.p95_us,
@@ -87,24 +75,15 @@ class ServingResult:
             "utilization": self.utilization,
             "compile_stalls": self.compile_stalls,
         }
-        if self.host_wall_us:  # opt-in; absent keys keep E14 stable
-            result["host_wall_us_per_query"] = self.mean_host_wall_us
-        return result
 
 
 def simulate_serving(executor, trace, arrival_rate_qps: float,
-                     seed: int = 0,
-                     measure_host_wall: bool = False) -> ServingResult:
+                     seed: int = 0) -> ServingResult:
     """Replay ``trace`` through ``executor`` under Poisson arrivals.
 
     ``executor`` is anything with ``run(inputs) -> (outputs, RunStats)``
     (a baseline, a DiscExecutor, or an ExecutionEngine).  The executor's
     internal caches warm up across the run, exactly as in production.
-
-    ``measure_host_wall`` additionally records the *real* wall-clock of
-    each ``run`` call in ``ServingResult.host_wall_us`` — the host-side
-    cost the launch-plan cache attacks (E15).  The simulated queueing
-    numbers are unaffected.
     """
     if arrival_rate_qps <= 0:
         raise ValueError("arrival rate must be positive")
@@ -116,13 +95,7 @@ def simulate_serving(executor, trace, arrival_rate_qps: float,
     server_free_us = 0.0
     for inputs in trace:
         arrival_us += float(rng.exponential(mean_gap_us))
-        if measure_host_wall:
-            begin = time.perf_counter()
-            __, stats = executor.run(inputs)
-            result.host_wall_us.append(
-                (time.perf_counter() - begin) * 1e6)
-        else:
-            __, stats = executor.run(inputs)
+        __, stats = executor.run(inputs)
         service = stats.total_time_us
         if stats.compile_time_us > 0:
             result.compile_stalls += 1

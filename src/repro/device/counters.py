@@ -43,17 +43,6 @@ class RunStats:
     def bytes_total(self) -> int:
         return self.bytes_read + self.bytes_written
 
-    def merge(self, other: "RunStats") -> None:
-        self.device_time_us += other.device_time_us
-        self.host_time_us += other.host_time_us
-        self.compile_time_us += other.compile_time_us
-        self.kernels_launched += other.kernels_launched
-        self.bytes_read += other.bytes_read
-        self.bytes_written += other.bytes_written
-        self.flops += other.flops
-        self.padding_waste_bytes += other.padding_waste_bytes
-        self.cache_hit = self.cache_hit and other.cache_hit
-
 
 @dataclass
 class Timeline:

@@ -5,8 +5,8 @@ from .engine import (EngineOptions, ExecutionEngine,
                      LegacyExecutionEngine, charge_kernel)
 from .executable import CompileReport, Executable
 from .hostprog import HostInstruction, HostProgram, lower_program
-from .launchplan import (BatchLaunchPlan, LaunchPlan, LaunchPlanCache,
-                         SharedPlans, format_signature)
+from .launchplan import (LaunchPlan, LaunchPlanCache, SharedPlans,
+                         format_signature)
 from .memory import (BufferPlan, Interval, plan_buffers,
                      replan_peak_for_shape, scale_batched_memory)
 from .symplan import (MemoryBudget, SlotExtent, SymbolicBufferPlan,
@@ -18,8 +18,7 @@ __all__ = [
     "charge_kernel",
     "CompileReport", "Executable",
     "HostInstruction", "HostProgram", "lower_program",
-    "BatchLaunchPlan", "LaunchPlan", "LaunchPlanCache", "SharedPlans",
-    "format_signature",
+    "LaunchPlan", "LaunchPlanCache", "SharedPlans", "format_signature",
     "BufferPlan", "Interval", "plan_buffers",
     "replan_peak_for_shape", "scale_batched_memory",
     "MemoryBudget", "SlotExtent", "SymbolicBufferPlan",

@@ -38,8 +38,8 @@ from ..numerics.resolve import bind_inputs, resolve_all_dims
 from ..obs.tracer import resolve_tracer
 from .executable import Executable
 from .hostprog import HostProgram
-from .launchplan import (BatchLaunchPlan, LaunchPlan, LaunchPlanCache,
-                         SharedPlans, format_signature)
+from .launchplan import (LaunchPlan, LaunchPlanCache, SharedPlans,
+                         format_signature)
 from .memory import scale_batched_memory
 
 __all__ = ["EngineOptions", "ExecutionEngine", "LegacyExecutionEngine",
@@ -164,18 +164,16 @@ class ExecutionEngine:
             signature: tuple | None = None) -> tuple[list, RunStats]:
         """Execute on concrete inputs; returns (outputs, stats).
 
-        ``signature`` lets a caller that already computed (and noted)
-        the call's signature skip the recomputation; plain callers leave
-        it None.  A miss freezes the signature's plan, replays it, and
-        only then installs it, so a first call that raises leaves no
-        plan behind.
+        ``signature`` lets a caller that already computed the call's
+        signature skip the recomputation; plain callers leave it None.
+        A miss freezes the signature's plan, replays it, and only then
+        installs it, so a first call that raises leaves no plan behind.
         """
         if self.tracer.enabled:
             return self._run_traced(inputs, signature)
         program = self.host_program
         if signature is None:
             signature = program.signature(inputs)
-            self.plans.note(signature)
         plan = self.plans.get(signature)
         if plan is not None:
             return self._replay(plan, inputs)
@@ -192,7 +190,6 @@ class ExecutionEngine:
         with tracer.span("engine:run") as span:
             if signature is None:
                 signature = program.signature(inputs)
-                self.plans.note(signature)
             span.set(signature=format_signature(signature))
             plan = self.plans.get(signature)
             hit = plan is not None
@@ -245,7 +242,7 @@ class ExecutionEngine:
             self.plans.put(signature, plan)
             if tracer.enabled:
                 span.set(signature=format_signature(signature),
-                         kernels_launched=plan.kernels_launched)
+                         kernels_launched=plan.stats.kernels_launched)
         return plan
 
     # -- batched launches (the serving batcher's entry points) -------------
@@ -258,12 +255,12 @@ class ExecutionEngine:
                                                         batch_size))
 
     def peek_batched(self, signature: tuple,
-                     batch_size: int) -> BatchLaunchPlan | None:
+                     batch_size: int) -> LaunchPlan | None:
         """The frozen batched plan, or None (no stats side effects)."""
         return self.plans.peek(self._batched_key(signature, batch_size))
 
     def prepare_batched(self, signature: tuple,
-                        batch_size: int) -> BatchLaunchPlan:
+                        batch_size: int) -> LaunchPlan:
         """Freeze the launch plan for ``batch_size`` stacked members.
 
         ``signature`` is the bucket's *padded* per-member signature; the
@@ -286,7 +283,7 @@ class ExecutionEngine:
             if tracer.enabled:
                 span.set(signature=format_signature(key[1]),
                          batch=batch_size,
-                         kernels_launched=plan.kernels_launched)
+                         kernels_launched=plan.stats.kernels_launched)
         return plan
 
     def run_batched(self, inputs_list: Sequence[Mapping[str, np.ndarray]],
@@ -339,10 +336,10 @@ class ExecutionEngine:
         :meth:`_plan`).  It touches no tensor data: no kernel adds a
         binding to ``dims`` once the host program has bound them, so
         charging before execution charges what charging alongside it
-        would.  ``batch`` (None = a solo plan) freezes a
-        :class:`BatchLaunchPlan` for that many stacked members of
-        ``signature`` — a batch of one is still a batched plan.  The
-        per-instruction launch counts are frozen too, for the traced
+        would.  ``batch`` (None = a solo plan) freezes a batched plan
+        for that many stacked members of ``signature`` — a batch of one
+        is still a batched plan — whose stats carry a ``batch`` detail.
+        The per-instruction launch counts are frozen too, for the traced
         record path's kernel spans.
         """
         options = self.options
@@ -360,19 +357,17 @@ class ExecutionEngine:
         stats.host_time_us += (options.dispatch_us_per_kernel
                                * stats.kernels_launched)
         memory = self.executable.buffer_plan.evaluate(dims)
-        stats.details["memory"] = memory if batch is None else \
-            scale_batched_memory(memory, batch)
         if batch is None:
-            plan = LaunchPlan.freeze(signature, dims, stats,
-                                     tuned=selector is not None,
-                                     launches=launches)
-            plan.memory_class = self._memory_class
-            return plan
-        plan = BatchLaunchPlan.freeze_batched(
-            HostProgram.batched_signature(signature, batch), dims, stats,
-            batch, signature, launches=launches)
-        plan.memory_class = dict(self._memory_class, batch=batch)
-        return plan
+            stats.details["memory"] = memory
+            return LaunchPlan(signature, dims, stats, self._memory_class,
+                              tuned=selector is not None,
+                              launches=tuple(launches))
+        stats.details["memory"] = scale_batched_memory(memory, batch)
+        stats.details["batch"] = {
+            "size": batch, "padded_signature": format_signature(signature)}
+        return LaunchPlan(HostProgram.batched_signature(signature, batch),
+                          dims, stats, dict(self._memory_class, batch=batch),
+                          launches=tuple(launches))
 
     def _replay(self, plan: LaunchPlan, inputs: Mapping[str, np.ndarray],
                 hook=None) -> tuple:

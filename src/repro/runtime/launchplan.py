@@ -10,8 +10,8 @@ cost — no binding, no resolution, no selection, no recipe evaluation.
 
 The cache is keyed on the host program's param-order signature (a
 batched plan's key adds a fixed ``@batch`` marker to its batched
-signature), bounded, and LRU-evicting.  It also counts the distinct
-signatures called, next to its hit/miss/eviction statistics.
+signature), bounded, and LRU-evicting, with hit/miss/eviction
+statistics.
 
 A frozen plan is immutable, so engines that would freeze the same plan
 may share it: :class:`SharedPlans` is that memo for one executable (a
@@ -28,8 +28,8 @@ from typing import Hashable
 from ..device.counters import RunStats
 from ..obs.tracer import resolve_tracer
 
-__all__ = ["BatchLaunchPlan", "LaunchPlan", "LaunchPlanCache",
-           "SharedPlans", "format_signature"]
+__all__ = ["LaunchPlan", "LaunchPlanCache", "SharedPlans",
+           "format_signature"]
 
 
 def format_signature(signature: tuple) -> str:
@@ -53,43 +53,46 @@ def _key_label(key) -> str:
         return str(key)
 
 
-class LaunchPlan:
-    """Everything one signature's calls share, frozen after the first."""
+def _copy(stats: RunStats) -> RunStats:
+    """``stats`` with its own copy of every ``details`` dict (the warm
+    path's copy: cheaper than ``dataclasses.replace``)."""
+    copy = object.__new__(RunStats)
+    copy.__dict__.update(stats.__dict__)
+    copy.details = {key: value.copy()
+                    for key, value in stats.details.items()}
+    return copy
 
-    __slots__ = ("signature", "dims", "device_time_us", "host_time_us",
-                 "kernels_launched", "bytes_read", "bytes_written",
-                 "flops", "memory", "memory_class", "schedules", "tuned",
+
+class LaunchPlan:
+    """Everything one signature's calls share, frozen after the first.
+
+    ``stats`` is the signature's fully charged :class:`RunStats`.  It was
+    accumulated kernel-by-kernel in instruction order, so replaying it
+    wholesale reproduces the exact floating-point sums a per-call walk
+    would have produced.  A batched plan's ``signature`` carries the
+    leading batch dim, and its stats a ``details["batch"]`` block (the
+    member count charged and the padded per-member signature), so every
+    unbatched response can say which launch served it and how much
+    padding it paid for.
+    """
+
+    __slots__ = ("signature", "dims", "stats", "memory_class", "tuned",
                  "launches", "__weakref__")
 
-    def __init__(self, signature: tuple, dims: dict,
-                 device_time_us: float, host_time_us: float,
-                 kernels_launched: int, bytes_read: int,
-                 bytes_written: int, flops: float,
-                 memory: dict | None,
-                 schedules: dict | None = None,
-                 tuned: bool = False, launches: tuple = ()) -> None:
+    def __init__(self, signature: tuple, dims: dict, stats: RunStats,
+                 memory_class: dict | None = None, tuned: bool = False,
+                 launches: tuple = ()) -> None:
         self.signature = signature
         #: resolved dim bindings (input symbols + every derived symbol).
         self.dims = dims
-        self.device_time_us = device_time_us
-        self.host_time_us = host_time_us
-        self.kernels_launched = kernels_launched
-        self.bytes_read = bytes_read
-        self.bytes_written = bytes_written
-        self.flops = flops
-        #: frozen ``BufferPlan.evaluate`` result (None without a plan).
-        self.memory = memory
+        self.stats = stats
         #: the *class-wide* memory snapshot
         #: (``SymbolicBufferPlan.snapshot()``): slot count, symbolic
         #: peak bounds and provenance expression — identical for every
         #: signature in the class, so replay carries the whole-class
-        #: story without ever re-planning per shape.  The engine sets it
-        #: when it freezes the plan.
-        self.memory_class = None
-        #: kernel name -> chosen schedule name (None when the program
-        #: has no schedulable kernels).
-        self.schedules = schedules
-        #: True when the picks came from the schedule autotuner rather
+        #: story without ever re-planning per shape.
+        self.memory_class = memory_class
+        #: True when the schedule picks came from the autotuner rather
         #: than the dispatch-stub heuristics.
         self.tuned = tuned
         #: launches charged per host instruction, in stream order (the
@@ -99,76 +102,13 @@ class LaunchPlan:
     @classmethod
     def freeze(cls, signature: tuple, dims: dict, stats: RunStats,
                tuned: bool = False, launches=()) -> "LaunchPlan":
-        """Capture a signature's fully-charged ``RunStats`` as a plan.
-
-        The stats were accumulated kernel-by-kernel in instruction
-        order, so replaying them wholesale reproduces the exact
-        floating-point sums a per-call walk would have produced.
-        """
-        memory = stats.details.get("memory")
-        schedules = stats.details.get("schedules")
-        return cls(
-            signature=signature,
-            dims=dims,
-            device_time_us=stats.device_time_us,
-            host_time_us=stats.host_time_us,
-            kernels_launched=stats.kernels_launched,
-            bytes_read=stats.bytes_read,
-            bytes_written=stats.bytes_written,
-            flops=stats.flops,
-            memory=dict(memory) if memory is not None else None,
-            schedules=dict(schedules) if schedules is not None else None,
-            tuned=tuned,
-            launches=tuple(launches),
-        )
+        """Capture a copy of a signature's fully charged ``stats``."""
+        return cls(signature, dims, _copy(stats), tuned=tuned,
+                   launches=tuple(launches))
 
     def make_stats(self) -> RunStats:
-        """A fresh :class:`RunStats` charging this plan's frozen cost."""
-        stats = RunStats(
-            device_time_us=self.device_time_us,
-            host_time_us=self.host_time_us,
-            kernels_launched=self.kernels_launched,
-            bytes_read=self.bytes_read,
-            bytes_written=self.bytes_written,
-            flops=self.flops,
-            cache_hit=True,
-        )
-        if self.memory is not None:
-            stats.details["memory"] = dict(self.memory)
-        if self.schedules is not None:
-            stats.details["schedules"] = dict(self.schedules)
-        return stats
-
-
-class BatchLaunchPlan(LaunchPlan):
-    """A frozen plan for one *batched* launch of several bucket members.
-
-    ``signature`` is the batched signature (leading batch dim on every
-    parameter); ``member_signature`` is the padded per-member signature
-    the batcher lowered, and ``batch_size`` the (rounded) member count
-    the cost was charged for.  The stats it mints carry a ``batch``
-    detail block so every unbatched response can say which launch served
-    it and how much padding it paid for.
-    """
-
-    __slots__ = ("batch_size", "member_signature")
-
-    @classmethod
-    def freeze_batched(cls, signature: tuple, dims: dict, stats: RunStats,
-                       batch_size: int, member_signature: tuple,
-                       launches=()) -> "BatchLaunchPlan":
-        plan = cls.freeze(signature, dims, stats, launches=launches)
-        plan.batch_size = batch_size
-        plan.member_signature = member_signature
-        return plan
-
-    def make_stats(self) -> RunStats:
-        stats = super().make_stats()
-        stats.details["batch"] = {
-            "size": self.batch_size,
-            "padded_signature": format_signature(self.member_signature),
-        }
-        return stats
+        """A fresh copy of the frozen :class:`RunStats`."""
+        return _copy(self.stats)
 
 
 class SharedPlans(weakref.WeakValueDictionary):
@@ -186,7 +126,7 @@ class SharedPlans(weakref.WeakValueDictionary):
 
 
 class LaunchPlanCache:
-    """Bounded LRU of launch plans + signature statistics.
+    """Bounded LRU of launch plans + hit/miss/eviction statistics.
 
     ``tracer`` (None = off) turns hits, misses and evictions into
     ``cache:plan:*`` trace events carrying the formatted key.
@@ -194,21 +134,11 @@ class LaunchPlanCache:
 
     def __init__(self, capacity: int | None = 64, tracer=None) -> None:
         self._plans: OrderedDict[Hashable, LaunchPlan] = OrderedDict()
-        #: every signature noted so far.
-        self._seen: set = set()
         self.capacity = capacity
         self.tracer = resolve_tracer(tracer)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    # -- signature accounting ---------------------------------------------
-
-    def note(self, signature: Hashable) -> None:
-        """Record one call of ``signature``."""
-        self._seen.add(signature)
-
-    # -- plan storage ------------------------------------------------------
 
     def get(self, key: Hashable) -> LaunchPlan | None:
         """The cached plan for ``key``, refreshing its recency; or None."""
@@ -253,5 +183,4 @@ class LaunchPlanCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "hit_rate": self.hits / total if total else 0.0,
-            "signatures_seen": len(self._seen),
         }

@@ -19,7 +19,7 @@ parameter dims are provably equal (one union-find class per group), so
   :class:`~repro.serving.scheduler.VirtualScheduler` — every
   interleaving is seeded and replayable.
 - **one launch plan per bucket** — a flushed batch replays one frozen
-  :class:`~repro.runtime.launchplan.BatchLaunchPlan` keyed on the padded
+  :class:`~repro.runtime.launchplan.LaunchPlan` keyed on the padded
   signature with a leading (rounded) batch dim; a cold batched plan
   never stalls anyone: the batch *explodes* back into solo requests
   served immediately while the batched plan compiles in the background.
@@ -44,8 +44,7 @@ from dataclasses import dataclass
 from ..core.symbolic.analysis import ConstraintLevel, analyze_shapes
 from ..device.profiles import DeviceProfile
 from ..runtime.launchplan import format_signature
-from .engine import (Request, ResponseStatus, ServingEngine,
-                     ServingOptions)
+from .engine import Request, ServingEngine, ServingOptions
 from .scheduler import VirtualScheduler
 
 __all__ = ["BatchingOptions", "BatchingServingEngine", "ShapeBucketer",
@@ -72,9 +71,6 @@ class BatchingOptions:
     #: "bucket": compatible dims pad to the bucket's pow2 ceiling;
     #: "exact": only identical signatures co-batch, zero padding.
     pad_policy: str = "bucket"
-    #: round the batch dim up to a power of two (empty slots are cost,
-    #: not members) so launch plans converge to a handful of keys.
-    round_batch_to_pow2: bool = True
     #: when set, batch sizes are additionally capped by what the
     #: model's *proven* class-wide peak (``runtime.symplan``) fits into
     #: the budget, and pad ceilings stop exceeding each class's proven
@@ -463,18 +459,14 @@ class BatchingServingEngine(ServingEngine):
         if self._current is None:
             self._dispatch_next()
 
-    def _batch_dim(self, live_members: int, model: str | None = None) -> int:
-        if self.batching.round_batch_to_pow2:
-            dim = round_up_pow2(live_members)
-            if model is not None:
-                # pow2 rounding must not blow a proven memory cap: the
-                # padded batch dim is charged for real in the batched
-                # cost model, so clamp it back to the budgeted limit
-                # (never below the live member count).
-                dim = min(dim, max(self.max_batch_for(model),
-                                   live_members))
-            return dim
-        return live_members
+    def _batch_dim(self, live_members: int, model: str) -> int:
+        """The batch dim a launch is charged for: ``live_members``
+        rounded up to a power of two (empty slots are cost, not members)
+        so launch plans converge to a handful of keys.  The padded dim
+        is charged for real, so it is clamped back to the model's
+        budgeted limit (never below the live member count)."""
+        return min(round_up_pow2(live_members),
+                   max(self.max_batch_for(model), live_members))
 
     # -- dispatch seam -----------------------------------------------------
 
@@ -525,7 +517,7 @@ class BatchingServingEngine(ServingEngine):
         finish = self.scheduler.now_us() + stats.total_time_us
         self.scheduler.call_at(
             finish,
-            lambda: self._complete_batch(live, outputs_list, stats))
+            lambda: self._complete(live, "batched", outputs_list, stats))
 
     def _explode(self, item: _Batch, live: list) -> None:
         """Cold or quarantined batched plan: the members serve solo NOW.
@@ -542,50 +534,27 @@ class BatchingServingEngine(ServingEngine):
         self._queue.extendleft(reversed(live))
         self._dispatch_next()
 
-    # -- completion / expiry -----------------------------------------------
+    # -- expiry ------------------------------------------------------------
 
-    def _complete_batch(self, live: list, outputs_list: list,
-                        stats) -> None:
-        for request, outputs in zip(live, outputs_list):
-            if request.done:
-                continue
-            self.counters["ok"] += 1
-            self.counters["batched_served"] += 1
-            self._respond(request, ResponseStatus.OK, "batched", outputs,
-                          stats)
-        self._dispatch_next()
-
-    def _expire(self, request: Request) -> None:
-        """Deadline fired while the batcher holds the request.
-
-        A bucketed member leaves its bucket (the TIMEOUT goes out now —
-        it never occupies a batch slot); a member of an already-formed
-        batch is answered now and skipped at dispatch/completion.  Solo
-        requests fall through to the base behavior.
-        """
-        if request.done:
-            return
+    def _withdraw(self, request: Request) -> None:
+        """A bucketed member leaves its bucket (it never occupies a batch
+        slot); a member of a formed batch stays in it, and dispatch and
+        completion skip it.  Solo requests fall through to the base."""
         state = self._member_state.pop(request.id, None)
         if state is None:
-            if request is self._current or request in self._queue:
-                super()._expire(request)
-                return
-            # Member of the batch currently in service: answer the
-            # timeout now; batch completion skips done members.
-        else:
-            kind, holder = state
-            if kind == "bucket":
-                holder.members.remove(request)
-                if not holder.members and \
-                        self._buckets.get(holder.key) is holder:
-                    del self._buckets[holder.key]
-                    if holder.flush_handle is not None:
-                        holder.flush_handle.cancel()
-                        holder.flush_handle = None
-        self.counters["timeouts"] += 1
-        if self.tracer.enabled:
-            self.tracer.event("serving:timeout", parent=request.span)
-        self._respond(request, ResponseStatus.TIMEOUT, None, None, None)
+            # A solo request, or a member of the batch in service.
+            if request in self._queue:
+                super()._withdraw(request)
+            return
+        kind, holder = state
+        if kind == "bucket":
+            holder.members.remove(request)
+            if not holder.members and \
+                    self._buckets.get(holder.key) is holder:
+                del self._buckets[holder.key]
+                if holder.flush_handle is not None:
+                    holder.flush_handle.cancel()
+                    holder.flush_handle = None
 
     # -- reporting ---------------------------------------------------------
 

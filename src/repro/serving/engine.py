@@ -497,28 +497,39 @@ class ServingEngine:
         finish = self.scheduler.now_us() + service_us
         self.scheduler.call_at(
             finish,
-            lambda: self._complete(request, path, outputs, stats))
+            lambda: self._complete([request], path, [outputs], stats))
 
     # -- completion / expiry -----------------------------------------------
 
-    def _complete(self, request: Request, path: str | None,
-                  outputs, stats) -> None:
-        if not request.done:
-            self.counters["ok"] += 1
-            self.counters[self.PATH_COUNTERS[path]] += 1
-            self._respond(request, ResponseStatus.OK, path, outputs,
-                          stats)
+    def _complete(self, members: list, path: str, outputs_list: list,
+                  stats) -> None:
+        """Answer the served ``members`` (one launch, one ``stats``) on
+        ``path``, skipping any the deadline already answered, and free
+        the server."""
+        for request, outputs in zip(members, outputs_list):
+            if not request.done:
+                self.counters["ok"] += 1
+                self.counters[self.PATH_COUNTERS[path]] += 1
+                self._respond(request, ResponseStatus.OK, path, outputs,
+                              stats)
         self._dispatch_next()
 
     def _expire(self, request: Request) -> None:
+        """Deadline fired: withdraw the request and answer TIMEOUT now."""
         if request.done:
             return
         self.counters["timeouts"] += 1
-        if request is not self._current:
-            self._queue.remove(request)
+        self._withdraw(request)
         if self.tracer.enabled:
             self.tracer.event("serving:timeout", parent=request.span)
         self._respond(request, ResponseStatus.TIMEOUT, None, None, None)
+
+    def _withdraw(self, request: Request) -> None:
+        """Take a timed-out request out of the queue; overridable (the
+        batcher's buckets).  One in service stays there: its completion
+        skips it."""
+        if request is not self._current:
+            self._queue.remove(request)
 
     def _respond(self, request: Request, status: ResponseStatus,
                  path: str | None, outputs, stats) -> None:

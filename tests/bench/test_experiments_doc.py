@@ -104,7 +104,7 @@ def test_e6_depth_sweep_matches_the_full_artifact():
     nodes = _series([f"{row['nodes']:,}" for row in rows])
     walls = _series([f"{row['pipeline_wall_s']:.2f}" for row in rows])
     per_node = _series([f"{row['us_per_node']:.0f}" for row in rows])
-    assert (f"at {layers} layers, best of 3: {nodes} nodes in {walls} s, "
+    assert (f"at {layers} layers, best of 5: {nodes} nodes in {walls} s, "
             f"that is {per_node} µs per node") in section
 
 

@@ -12,17 +12,6 @@ def test_total_vs_steady():
     assert stats.steady_time_us == 12
 
 
-def test_merge_accumulates():
-    a = RunStats(device_time_us=10, kernels_launched=3, bytes_read=100)
-    b = RunStats(device_time_us=5, kernels_launched=2, bytes_written=50,
-                 cache_hit=False)
-    a.merge(b)
-    assert a.device_time_us == 15
-    assert a.kernels_launched == 5
-    assert a.bytes_total == 150
-    assert not a.cache_hit
-
-
 def test_timeline_aggregation():
     t = Timeline()
     t.record(RunStats(device_time_us=10, compile_time_us=1000,

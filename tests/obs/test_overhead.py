@@ -37,7 +37,6 @@ def replica_run(engine, inputs):
     """
     program = engine.host_program
     signature = program.signature(inputs)
-    engine.plans.note(signature)
     plan = engine.plans.get(signature)
     return engine._replay(plan, inputs)
 

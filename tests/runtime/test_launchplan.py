@@ -6,8 +6,8 @@ import pytest
 from repro.core import compile_graph
 from repro.device import A10
 from repro.device.counters import RunStats
-from repro.runtime import (BatchLaunchPlan, EngineOptions, ExecutionEngine,
-                           LaunchPlan, LaunchPlanCache, format_signature)
+from repro.runtime import (EngineOptions, ExecutionEngine, LaunchPlan,
+                           LaunchPlanCache, format_signature)
 
 from ..conftest import toy_mlp_graph, toy_mlp_inputs
 
@@ -43,7 +43,26 @@ def test_freeze_copies_the_memory_dict():
     stats.details["memory"] = {"peak_bytes": 1}
     plan = LaunchPlan.freeze((), {}, stats)
     stats.details["memory"]["peak_bytes"] = 2
-    assert plan.memory == {"peak_bytes": 1}
+    assert plan.stats.details["memory"] == {"peak_bytes": 1}
+
+
+def test_replay_keeps_every_field_of_the_frozen_stats():
+    stats = RunStats(device_time_us=8.5, host_time_us=1.5,
+                     compile_time_us=3.0, kernels_launched=4,
+                     bytes_read=64, bytes_written=32, flops=2e3,
+                     padding_waste_bytes=96)
+    stats.details["memory"] = {"peak_bytes": 512}
+    stats.details["batch"] = {"size": 4, "padded_signature": "x[4x8]"}
+    plan = LaunchPlan.freeze((("x", (4, 4, 8)),), {"b": 4}, stats)
+    first, second = plan.make_stats(), plan.make_stats()
+    assert first == second == stats
+    assert first.padding_waste_bytes == 96
+    for key in ("memory", "batch"):
+        assert first.details[key] is not second.details[key]
+        assert first.details[key] is not plan.stats.details[key]
+    first.details["batch"]["size"] = 0
+    assert second.details["batch"]["size"] == 4
+    assert plan.make_stats() == stats
 
 
 # -- the cache ---------------------------------------------------------------
@@ -89,16 +108,6 @@ def test_unbounded_cache_never_evicts():
     assert len(cache) == 100 and cache.evictions == 0
 
 
-def test_note_seen_and_hot_signatures():
-    cache = LaunchPlanCache()
-    hot = (("x", (2, 3)),)
-    cold = (("x", (9, 9)),)
-    cache.note(hot)
-    cache.note(hot)
-    cache.note(cold)
-    assert cache.stats()["signatures_seen"] == 2
-
-
 # -- engine integration ------------------------------------------------------
 
 def test_first_call_records_then_replays(exe, rng):
@@ -112,7 +121,8 @@ def test_first_call_records_then_replays(exe, rng):
     assert warm == cold
     sig = exe.host_program.signature(inputs)
     assert engine.peek_plan(sig) is not None
-    assert engine.peek_plan(sig).kernels_launched == cold.kernels_launched
+    assert engine.peek_plan(sig).stats.kernels_launched == \
+        cold.kernels_launched
 
 
 def test_distinct_signatures_get_distinct_plans(exe, rng):
@@ -122,7 +132,6 @@ def test_distinct_signatures_get_distinct_plans(exe, rng):
     stats = engine.plans.stats()
     assert stats["entries"] == 2
     assert stats["misses"] == 2 and stats["hits"] == 0
-    assert stats["signatures_seen"] == 2
 
 
 def test_capacity_evicts_and_rerecords_identically(exe, rng):
@@ -152,9 +161,7 @@ def test_prepare_freezes_the_same_plan_a_first_call_would(exe, rng):
 
     assert prepared.signature == recorded.signature == sig
     assert prepared.dims == recorded.dims
-    for field in ("device_time_us", "host_time_us", "kernels_launched",
-                  "bytes_read", "bytes_written", "flops", "memory"):
-        assert getattr(prepared, field) == getattr(recorded, field), field
+    assert prepared.stats == recorded.stats
     assert prepared.make_stats() == recorded_stats
 
 
@@ -189,9 +196,10 @@ def test_solo_and_batched_plans_never_collide(exe, rng):
     solo = engine.prepare(inputs)
     batched = engine.prepare_batched(signature, 1)
     assert len(engine.plans) == 2
-    assert type(engine.peek_plan(signature)) is LaunchPlan
     assert engine.peek_plan(signature) is solo
-    assert isinstance(engine.peek_batched(signature, 1), BatchLaunchPlan)
+    assert "batch" not in solo.stats.details
+    assert batched.stats.details["batch"] == {
+        "size": 1, "padded_signature": format_signature(signature)}
     assert engine.peek_batched(signature, 1) is batched
     __, stats = engine.run(inputs)
     assert stats == solo.make_stats()

@@ -39,14 +39,14 @@ def test_prepare_with_selector_freezes_a_tuned_plan(toy_exe, toy_inputs):
     assert plan.tuned
     assert engine.peek_plan(signature) is plan
     for kernel, pick in result.pick_names().items():
-        assert plan.schedules[kernel] == pick
+        assert plan.stats.details["schedules"][kernel] == pick
 
 
 def test_heuristic_plans_are_not_marked_tuned(toy_exe, toy_inputs):
     engine = ExecutionEngine(toy_exe, A10)
     plan = engine.prepare(toy_inputs)
     assert not plan.tuned
-    assert plan.schedules, "plans must record schedule picks by name"
+    assert plan.stats.details["schedules"], "plans must record schedule picks by name"
 
 
 def test_overwrite_upgrades_an_installed_plan(toy_exe, toy_inputs):
@@ -68,7 +68,7 @@ def test_run_stats_surface_the_chosen_schedule_names(toy_exe,
                                                        toy_inputs)
     _, stats = engine.run(toy_inputs)
     schedules = stats.details["schedules"]
-    assert schedules == plan.schedules
+    assert schedules == plan.stats.details["schedules"]
     for name in schedules.values():
         schedule_named(name)  # every surfaced name round-trips
 
