@@ -14,7 +14,7 @@ from repro.bench import e10_placement_overhead, \
 
 @pytest.fixture(scope="module")
 def experiment():
-    result = e10_placement_overhead("A10", num_queries=10)
+    result = e10_placement_overhead()
     print_and_save("e10_placement_overhead", result,
                    format_placement_overhead(result))
     return result

@@ -25,7 +25,7 @@ import sys
 import pytest
 
 from repro.bench import e11_memory_planning, format_memory_planning, \
-    print_and_save
+    gate_main, print_and_save
 
 #: CI gate: the one symbolic class plan's peak must stay within this
 #: factor of the per-shape re-planning baseline at *every* sampled shape.
@@ -37,6 +37,40 @@ MAX_SYMBOLIC_RATIO = 1.1
 QUICK_MODELS = ["bert", "fastspeech2", "dien"]
 
 
+def failures(result) -> list:
+    """Every claim the experiment misses, as human-readable lines."""
+    found = []
+    rows = result["rows"]
+    for row in rows:
+        label = f"{row['model']} ({row['fusion']})"
+        if row["peak_mb"] > row["naive_mb"] + 1e-9:
+            found.append(f"{label}: reused peak exceeds the naive total")
+        if row["reuse_factor"] < 1.0:
+            found.append(f"{label}: reuse factor "
+                         f"{row['reuse_factor']:.2f} < 1")
+    by_key = {(r["model"], r["fusion"]): r for r in rows}
+    for model in sorted({r["model"] for r in rows}):
+        unfused = by_key[(model, "unfused")]
+        fused = by_key[(model, "fused")]
+        if fused["values"] > unfused["values"]:
+            found.append(f"{model}: fusion added intermediates")
+        if fused["naive_mb"] > unfused["naive_mb"] + 1e-9:
+            found.append(f"{model}: fusion grew the naive total")
+    for row in result["diversity"]:
+        if not row["proven"]:
+            found.append(f"{row['model']}: class peak not provable "
+                         f"under the zoo axes")
+        if row["worst_ratio"] > MAX_SYMBOLIC_RATIO:
+            found.append(
+                f"{row['model']}: symbolic one-plan peak "
+                f"{row['worst_ratio']:.3f}x the per-shape re-planning "
+                f"peak (gate {MAX_SYMBOLIC_RATIO}x)")
+        if row["symbolic_peak_mb"] > row["naive_mb"] + 1e-9:
+            found.append(f"{row['model']}: symbolic peak exceeds the "
+                         f"no-reuse baseline")
+    return found
+
+
 @pytest.fixture(scope="module")
 def experiment():
     result = e11_memory_planning()
@@ -45,78 +79,13 @@ def experiment():
     return result
 
 
-def _check_gate(result: dict) -> list:
-    failures = []
-    for row in result["diversity"]:
-        if not row["proven"]:
-            failures.append(f"{row['model']}: class peak not provable "
-                            f"under the zoo axes")
-        if row["worst_ratio"] > MAX_SYMBOLIC_RATIO:
-            failures.append(
-                f"{row['model']}: symbolic one-plan peak "
-                f"{row['worst_ratio']:.3f}x the per-shape re-planning "
-                f"peak (gate {MAX_SYMBOLIC_RATIO}x)")
-        if row["symbolic_peak_mb"] > row["naive_mb"] + 1e-9:
-            failures.append(f"{row['model']}: symbolic peak exceeds the "
-                            f"no-reuse baseline")
-    return failures
-
-
 def test_bench_e11_memory_planning(benchmark, experiment, bert_disc,
                                    bert_inputs):
     benchmark(bert_disc.run, bert_inputs)
-    rows = experiment["rows"]
-    for row in rows:
-        assert row["peak_mb"] <= row["naive_mb"] + 1e-9
-        assert row["reuse_factor"] >= 1.0
-    by_key = {(r["model"], r["fusion"]): r for r in rows}
-    for model in {r["model"] for r in rows}:
-        unfused = by_key[(model, "unfused")]
-        fused = by_key[(model, "fused")]
-        assert fused["values"] <= unfused["values"], model
-        assert fused["naive_mb"] <= unfused["naive_mb"] + 1e-9, model
-
-
-def test_bench_e11_symbolic_one_plan_gate(experiment):
-    failures = _check_gate(experiment)
-    assert not failures, "\n".join(failures)
-
-
-def main(argv=None) -> int:
-    import argparse
-    parser = argparse.ArgumentParser(
-        description="E11 memory-planning perf smoke",
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--quick", action="store_true",
-                        help=f"subset ({', '.join(QUICK_MODELS)}) with "
-                             "the symbolic one-plan gate enforced")
-    parser.add_argument("--check", action="store_true",
-                        help="enforce the gate on the full zoo "
-                             "(implied by --quick)")
-    parser.add_argument("--shapes", type=int, default=8,
-                        help="sampled shapes per model (default 8)")
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        result = e11_memory_planning(models=QUICK_MODELS,
-                                     shapes_per_model=args.shapes)
-    else:
-        result = e11_memory_planning(shapes_per_model=args.shapes)
-    name = "e11_memory_planning" + (".quick" if args.quick else "")
-    print_and_save(name, result, format_memory_planning(result))
-
-    if args.quick or args.check:
-        failures = _check_gate(result)
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}")
-            return 1
-        worst = max(r["worst_ratio"] for r in result["diversity"])
-        print(f"OK: symbolic one-plan peak within {worst:.3f}x of "
-              f"per-shape re-planning on every sampled shape "
-              f"(gate {MAX_SYMBOLIC_RATIO}x)")
-    return 0
+    assert failures(experiment) == []
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(gate_main("e11_memory_planning", e11_memory_planning,
+                       format_memory_planning, failures,
+                       quick={"models": QUICK_MODELS}))

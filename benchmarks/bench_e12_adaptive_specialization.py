@@ -20,7 +20,8 @@ import sys
 import pytest
 
 from repro.bench import (e12_adaptive_specialization,
-                         format_adaptive_specialization, print_and_save)
+                         format_adaptive_specialization, gate_main,
+                         print_and_save)
 
 
 def _rows(result):
@@ -50,7 +51,7 @@ def failures(result) -> list:
 
 @pytest.fixture(scope="module")
 def experiment():
-    result = e12_adaptive_specialization("A10")
+    result = e12_adaptive_specialization()
     print_and_save("e12_adaptive_specialization", result,
                    format_adaptive_specialization(result))
     return result
@@ -62,19 +63,7 @@ def test_bench_e12_adaptive(benchmark, experiment, bert_disc,
     assert failures(experiment) == []
 
 
-def main() -> int:
-    result = e12_adaptive_specialization("A10")
-    print_and_save("e12_adaptive_specialization", result,
-                   format_adaptive_specialization(result))
-    found = failures(result)
-    for line in found:
-        print(f"FAIL: {line}")
-    if found:
-        return 1
-    print(f"OK: 0 stalls, {result['tuned_served']} tuned responses, "
-          "none slower than generic, total below the JIT")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(gate_main("e12_adaptive_specialization",
+                       e12_adaptive_specialization,
+                       format_adaptive_specialization, failures))

@@ -17,8 +17,8 @@ from repro.device import CPU_X86
 
 @pytest.fixture(scope="module")
 def experiment():
-    result = e1_end_to_end("CPU-x86", num_queries=12, seed=0,
-                           models=["bert", "gpt2", "s2t", "dien"])
+    result = e1_end_to_end("CPU-x86", models=["bert", "gpt2", "s2t", "dien"],
+                           num_queries=12)
     print_and_save("e13_cpu_end_to_end", result,
                    format_end_to_end(result))
     return result

@@ -15,7 +15,7 @@ from repro.bench import (e14_serving_tail_latency,
 
 @pytest.fixture(scope="module")
 def experiment():
-    result = e14_serving_tail_latency("A10", num_queries=40)
+    result = e14_serving_tail_latency()
     print_and_save("e14_serving_tail_latency", result,
                    format_serving_tail_latency(result))
     return result

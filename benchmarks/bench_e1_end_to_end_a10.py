@@ -16,7 +16,7 @@ from repro.bench import e1_end_to_end, format_end_to_end, print_and_save
 
 @pytest.fixture(scope="module")
 def experiment():
-    result = e1_end_to_end("A10", num_queries=20, seed=0)
+    result = e1_end_to_end()
     print_and_save("e1_end_to_end_a10", result, format_end_to_end(result))
     return result
 

@@ -13,7 +13,7 @@ from repro.device import T4
 
 @pytest.fixture(scope="module")
 def experiment():
-    result = e1_end_to_end("T4", num_queries=20, seed=0)
+    result = e1_end_to_end("T4")
     print_and_save("e2_end_to_end_t4", result, format_end_to_end(result))
     return result
 

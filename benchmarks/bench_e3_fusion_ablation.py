@@ -14,8 +14,7 @@ from repro.bench import e3_fusion_ablation, format_fusion_ablation, \
 
 @pytest.fixture(scope="module")
 def experiment():
-    result = e3_fusion_ablation("A10", models=("bert", "s2t"),
-                                num_queries=10)
+    result = e3_fusion_ablation()
     print_and_save("e3_fusion_ablation", result,
                    format_fusion_ablation(result))
     return result

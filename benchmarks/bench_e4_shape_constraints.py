@@ -15,8 +15,7 @@ from repro.bench import e4_shape_constraints, format_shape_constraints, \
 
 @pytest.fixture(scope="module")
 def experiment():
-    result = e4_shape_constraints("A10", models=("bert", "gpt2", "s2t"),
-                                  num_queries=10)
+    result = e4_shape_constraints()
     print_and_save("e4_shape_constraints", result,
                    format_shape_constraints(result))
     return result

@@ -16,8 +16,7 @@ from repro.bench import e5_codegen_strategies, format_codegen_strategies, \
 
 @pytest.fixture(scope="module")
 def experiment():
-    result = e5_codegen_strategies("A10", num_queries=32,
-                                   shape_counts=(1, 4, 16))
+    result = e5_codegen_strategies()
     print_and_save("e5_codegen_strategies", result,
                    format_codegen_strategies(result))
     return result

@@ -25,11 +25,35 @@ import sys
 import pytest
 
 from repro.bench import e6_compile_overhead, format_compile_overhead, \
-    print_and_save
+    gate_main, print_and_save
 from repro.core import DiscCompiler
 
 #: CI gate: best-of-5 µs/node at the deepest bert over the shallowest.
 MAX_DEPTH_RATIO = 1.6
+
+
+def failures(result) -> list:
+    """Every claim the experiment misses, as human-readable lines."""
+    found = []
+    for row in result["rows"]:
+        model, wall = row["model"], row["pipeline_wall_s"]
+        if row["kernels"] <= 0:
+            found.append(f"{model}: compiled to no kernels")
+        if wall >= 60:
+            found.append(f"{model}: compile took {wall:.1f} s (limit 60 s)")
+        # the symbolic analysis is a trivial share of compilation
+        if row["analysis_ms"] / 1e3 >= wall:
+            found.append(f"{model}: symbolic analysis "
+                         f"{row['analysis_ms']:.1f} ms is not below the "
+                         f"{wall:.3f} s pipeline")
+    depth = sorted(result["depth"], key=lambda r: r["layers"])
+    ratio = depth[-1]["us_per_node"] / depth[0]["us_per_node"]
+    if ratio > MAX_DEPTH_RATIO:
+        found.append(f"bert compile {depth[-1]['us_per_node']:.0f} us/node "
+                     f"at {depth[-1]['layers']} layers is {ratio:.2f}x the "
+                     f"{depth[0]['us_per_node']:.0f} us/node at "
+                     f"{depth[0]['layers']} (gate {MAX_DEPTH_RATIO}x)")
+    return found
 
 
 @pytest.fixture(scope="module")
@@ -40,50 +64,13 @@ def experiment():
     return result
 
 
-def depth_ratio(result: dict) -> float:
-    """µs/node at the deepest swept bert over that at the shallowest."""
-    rows = sorted(result["depth"], key=lambda r: r["layers"])
-    return rows[-1]["us_per_node"] / rows[0]["us_per_node"]
-
-
 def test_bench_e6_compile_bert(benchmark, experiment, bert_model):
     compiler = DiscCompiler()
     benchmark(compiler.compile, bert_model.graph)
-    for row in experiment["rows"]:
-        assert row["kernels"] > 0
-        assert row["pipeline_wall_s"] < 60
-        # the symbolic analysis is a trivial share of compilation
-        assert row["analysis_ms"] / 1e3 < row["pipeline_wall_s"]
-
-
-def test_bench_e6_compile_time_is_near_linear_in_depth(experiment):
-    assert depth_ratio(experiment) <= MAX_DEPTH_RATIO
-
-
-def main(argv=None) -> int:
-    import argparse
-    parser = argparse.ArgumentParser(
-        description="E6 compile-overhead perf smoke")
-    parser.add_argument("--quick", action="store_true",
-                        help="bert only besides the depth sweep, with the "
-                             "depth gate enforced")
-    args = parser.parse_args(argv)
-
-    result = e6_compile_overhead(models=["bert"] if args.quick else None)
-    name = "e6_compile_overhead" + (".quick" if args.quick else "")
-    print_and_save(name, result, format_compile_overhead(result))
-
-    if args.quick:
-        ratio = depth_ratio(result)
-        rows = sorted(result["depth"], key=lambda r: r["layers"])
-        verdict = "OK" if ratio <= MAX_DEPTH_RATIO else "FAIL"
-        print(f"{verdict}: bert compile {rows[-1]['us_per_node']:.0f} "
-              f"us/node at {rows[-1]['layers']} layers is {ratio:.2f}x "
-              f"the {rows[0]['us_per_node']:.0f} us/node at "
-              f"{rows[0]['layers']} (gate {MAX_DEPTH_RATIO}x)")
-        return 0 if verdict == "OK" else 1
-    return 0
+    assert failures(experiment) == []
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(gate_main("e6_compile_overhead", e6_compile_overhead,
+                       format_compile_overhead, failures,
+                       quick={"models": ["bert"]}))

@@ -15,8 +15,7 @@ from repro.bench import e7_shape_diversity, format_shape_diversity, \
 
 @pytest.fixture(scope="module")
 def experiment():
-    result = e7_shape_diversity(
-        "A10", num_queries=32, shape_counts=(1, 2, 4, 8, 16))
+    result = e7_shape_diversity()
     print_and_save("e7_shape_diversity", result,
                    format_shape_diversity(result))
     return result

@@ -14,7 +14,7 @@ from repro.bench import e8_kernel_reduction, format_kernel_reduction, \
 
 @pytest.fixture(scope="module")
 def experiment():
-    result = e8_kernel_reduction("A10")
+    result = e8_kernel_reduction()
     print_and_save("e8_kernel_reduction", result,
                    format_kernel_reduction(result))
     return result

@@ -2,14 +2,14 @@
 
 from .base import Executor
 from .disc import DiscExecutor
-from .executor import BaselineSpec, SimulatedBaseline, pow2_bucket
+from .executor import BaselineSpec, SimulatedBaseline
 from .systems import (ALL_BASELINES, INDUCTOR, ONNXRUNTIME, PYTORCH,
                       TENSORRT, TORCHSCRIPT, TVM, XLA, baseline_names,
                       make_baseline)
 
 __all__ = [
     "Executor", "DiscExecutor",
-    "BaselineSpec", "SimulatedBaseline", "pow2_bucket",
+    "BaselineSpec", "SimulatedBaseline",
     "ALL_BASELINES", "INDUCTOR", "ONNXRUNTIME", "PYTORCH", "TENSORRT",
     "TORCHSCRIPT", "TVM", "XLA", "baseline_names", "make_baseline",
 ]

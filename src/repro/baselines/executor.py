@@ -22,7 +22,6 @@ generates them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -44,14 +43,7 @@ from ..runtime.engine import EngineOptions, charge_kernel
 from ..runtime.hostprog import HostProgram, lower_program
 from .base import Executor
 
-__all__ = ["BaselineSpec", "SimulatedBaseline", "pow2_bucket"]
-
-
-def pow2_bucket(value: int) -> int:
-    """Pad a dynamic extent up to the next power of two (min 1)."""
-    if value <= 1:
-        return 1
-    return 1 << math.ceil(math.log2(value))
+__all__ = ["BaselineSpec", "SimulatedBaseline"]
 
 
 @dataclass

@@ -34,8 +34,9 @@ from ..core.fusion.kinds import FusionConfig
 from ..core.symbolic import ConstraintLevel
 from ..device.profiles import DeviceProfile
 from ..ir.graph import Graph
+from ..runtime.caches import round_up_pow2
 from .base import Executor
-from .executor import BaselineSpec, SimulatedBaseline, pow2_bucket
+from .executor import BaselineSpec, SimulatedBaseline
 
 __all__ = [
     "PYTORCH", "TORCHSCRIPT", "TVM", "ONNXRUNTIME", "XLA", "INDUCTOR",
@@ -83,7 +84,7 @@ TVM = BaselineSpec(
     eager_dispatch=False,
     compile_grade="autotune",
     compile_policy="per_bucket",
-    bucket=pow2_bucket,
+    bucket=round_up_pow2,
 )
 
 ONNXRUNTIME = BaselineSpec(
@@ -138,7 +139,7 @@ TENSORRT = BaselineSpec(
     eager_dispatch=False,
     compile_grade="engine_build",
     compile_policy="per_bucket",
-    bucket=pow2_bucket,
+    bucket=round_up_pow2,
 )
 
 ALL_BASELINES = (PYTORCH, TORCHSCRIPT, TVM, ONNXRUNTIME, XLA, INDUCTOR,

@@ -1,9 +1,9 @@
 """Experiment harness regenerating every paper table and figure."""
 
-from .reporting import format_table, print_and_save, results_dir, \
-    save_results
+from .reporting import format_table, gate_main, print_and_save, \
+    results_dir, save_results
 from .experiments import (
-    BENCH_MODELS, bench_queries,
+    BENCH_MODELS,
     e1_end_to_end, format_end_to_end,
     e3_fusion_ablation, format_fusion_ablation,
     e4_shape_constraints, format_shape_constraints,
@@ -24,8 +24,9 @@ from .experiments import (
 from .serving import ServingResult, simulate_serving
 
 __all__ = [
-    "format_table", "print_and_save", "results_dir", "save_results",
-    "BENCH_MODELS", "bench_queries",
+    "format_table", "gate_main", "print_and_save", "results_dir",
+    "save_results",
+    "BENCH_MODELS",
     "e1_end_to_end", "format_end_to_end",
     "e3_fusion_ablation", "format_fusion_ablation",
     "e4_shape_constraints", "format_shape_constraints",

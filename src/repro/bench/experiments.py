@@ -1,17 +1,15 @@
-"""The experiment harness: one function per paper table/figure (E1-E10).
+"""The experiment harness: one function per paper table/figure (E1-E18).
 
 Each function runs the full (simulated) measurement and returns a payload
 dict with the raw numbers plus a ``format_*`` companion producing the
-paper-style text table.  The ``benchmarks/bench_e*.py`` files are thin
-pytest wrappers around these.
-
-Scale note: query counts default to values that keep the numpy substrate
-fast; set ``REPRO_BENCH_QUERIES`` to raise them for smoother averages.
+paper-style text table.  A function's defaults are the parameters of its
+checked-in artifact, which ``python -m pytest benchmarks/bench_eN_*.py``
+regenerates (or ``python benchmarks/bench_eN_*.py [--quick]`` for a
+gated one).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter
 from statistics import mean
@@ -33,7 +31,7 @@ from ..workloads import make_trace
 from .reporting import format_table
 
 __all__ = [
-    "BENCH_MODELS", "bench_queries",
+    "BENCH_MODELS",
     "e1_end_to_end", "format_end_to_end",
     "e3_fusion_ablation", "format_fusion_ablation",
     "e4_shape_constraints", "format_shape_constraints",
@@ -67,10 +65,6 @@ BENCH_MODELS = {
 }
 
 
-def bench_queries(default: int) -> int:
-    return int(os.environ.get("REPRO_BENCH_QUERIES", default))
-
-
 def _bench_model(name: str):
     return build_model(name, **BENCH_MODELS.get(name, {}))
 
@@ -80,7 +74,7 @@ def _bench_model(name: str):
 # ---------------------------------------------------------------------------
 
 def e1_end_to_end(device_name: str = "A10", models: list | None = None,
-                  num_queries: int | None = None,
+                  num_queries: int = 20,
                   distribution: str = "zipf", seed: int = 0) -> dict:
     """Mean steady-state speedup of BladeDISC vs every baseline, per model.
 
@@ -90,8 +84,6 @@ def e1_end_to_end(device_name: str = "A10", models: list | None = None,
     """
     device = device_named(device_name)
     model_names = models or list(BENCH_MODELS)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(30)
     systems = baseline_names()
     per_model: dict[str, dict] = {}
     disc_latency: dict[str, float] = {}
@@ -161,12 +153,10 @@ def format_end_to_end(result: dict) -> str:
 
 def e3_fusion_ablation(device_name: str = "A10",
                        models: tuple = ("bert", "s2t"),
-                       num_queries: int | None = None,
+                       num_queries: int = 10,
                        seed: int = 0) -> dict:
     """Kernels / bytes / latency as fusion kinds are enabled one by one."""
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(15)
     variants = [
         ("no-fusion", FusionConfig.none()),
         ("kLoop", FusionConfig.loop_only()),
@@ -211,12 +201,10 @@ def format_fusion_ablation(result: dict) -> str:
 
 def e4_shape_constraints(device_name: str = "A10",
                          models: tuple = ("bert", "gpt2", "s2t"),
-                         num_queries: int | None = None,
+                         num_queries: int = 10,
                          seed: int = 0) -> dict:
     """What the symbolic constraints buy: fusion size and latency by level."""
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(15)
     rows = []
     for model_name in models:
         model = _bench_model(model_name)
@@ -268,8 +256,8 @@ def _k_distinct_trace(model, num_queries: int, k: int, seed: int = 0):
 
 
 def e5_codegen_strategies(device_name: str = "A10", model_name: str = "bert",
-                          num_queries: int | None = None,
-                          shape_counts: tuple = (1, 4, 16, 64),
+                          num_queries: int = 32,
+                          shape_counts: tuple = (1, 4, 16),
                           seed: int = 0) -> dict:
     """Compile-once vs recompile-per-shape vs bucket-and-pad.
 
@@ -277,8 +265,6 @@ def e5_codegen_strategies(device_name: str = "A10", model_name: str = "bert",
     as the number of distinct shapes in the trace grows.
     """
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(64)
     model = _bench_model(model_name)
     strategies = {
         "combined (BladeDISC)": lambda: DiscExecutor(model.graph, device),
@@ -416,15 +402,13 @@ def format_compile_overhead(result: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def e7_shape_diversity(device_name: str = "A10", model_name: str = "bert",
-                       num_queries: int | None = None,
-                       shape_counts: tuple = (1, 2, 4, 8, 16, 32),
+                       num_queries: int = 32,
+                       shape_counts: tuple = (1, 2, 4, 8, 16),
                        systems: tuple = ("BladeDISC", "XLA", "TVM",
                                          "TensorRT", "TorchInductor"),
                        seed: int = 0) -> dict:
     """Amortised per-query latency (compile included) vs shape diversity."""
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(48)
     model = _bench_model(model_name)
     series: dict[str, list] = {system: [] for system in systems}
     for k in shape_counts:
@@ -531,7 +515,7 @@ def _geomean(values) -> float:
 
 def e9_schedule_selection(device_name: str = "A10", seed: int = 0,
                           models: list | None = None,
-                          num_queries: int | None = None,
+                          num_queries: int = 12,
                           shape_counts: tuple = (1, 4, 16)) -> dict:
     """Schedule selection and autotuning, three measurements in one:
 
@@ -573,8 +557,6 @@ def e9_schedule_selection(device_name: str = "A10", seed: int = 0,
 
     # -- autotuned zoo ------------------------------------------------------
     model_names = models or list(BENCH_MODELS)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(12)
     options = TuningOptions()
     tracer = CapturingTracer()
     worst_selector = WorstCaseSelector(device)
@@ -774,12 +756,10 @@ def _length_feature_model(hidden: int = 256, num_shape_ops: int = 8):
 
 
 def e10_placement_overhead(device_name: str = "A10",
-                           num_queries: int | None = None,
+                           num_queries: int = 10,
                            seed: int = 0) -> dict:
     """Host-placement benefit + symbolic-analysis compile overhead."""
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(20)
     graph = _length_feature_model()
     executable = DiscCompiler(CompileOptions()).compile(graph)
     rng = np.random.default_rng(seed)
@@ -951,7 +931,7 @@ def _submit_at(scheduler, submit, model_name: str, inputs, arrivals) -> list:
 
 def e12_adaptive_specialization(device_name: str = "A10",
                                 model_name: str = "bert",
-                                num_queries: int | None = None,
+                                num_queries: int = 150,
                                 seed: int = 0) -> dict:
     """Generic-only vs the tuning serving pool vs per-shape JIT on a
     skewed trace.
@@ -969,8 +949,6 @@ def e12_adaptive_specialization(device_name: str = "A10",
     from ..tuning import TuningOptions
 
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(150)
     model = _bench_model(model_name)
     # Latency-oriented serving: batch pinned to 1, Zipf-skewed lengths —
     # the regime where a handful of short lengths dominate and
@@ -1073,7 +1051,7 @@ def format_adaptive_specialization(result: dict) -> str:
 
 def e14_serving_tail_latency(device_name: str = "A10",
                              model_name: str = "bert",
-                             num_queries: int | None = None,
+                             num_queries: int = 40,
                              arrival_rate_qps: float = 600.0,
                              systems: tuple = ("BladeDISC", "PyTorch",
                                                "ONNXRuntime", "XLA"),
@@ -1088,8 +1066,6 @@ def e14_serving_tail_latency(device_name: str = "A10",
     from .serving import simulate_serving
 
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(60)
     model = _bench_model(model_name)
     trace = make_trace(model, num_queries, "zipf", seed=seed,
                        fixed_axes={"batch": 1})
@@ -1204,7 +1180,7 @@ def _time_runners(runners: dict, repeats: int, calls: int,
 
 def e15_host_overhead(device_name: str = "A10",
                       models: list | None = None,
-                      repeats: int | None = None,
+                      repeats: int = 5,
                       shapes_per_model: int = 3,
                       seed: int = 0) -> dict:
     """Real host wall-clock: legacy interpreter vs compiled host program.
@@ -1230,7 +1206,6 @@ def e15_host_overhead(device_name: str = "A10",
 
     device = device_named(device_name)
     model_names = models or list(E15_MODELS)
-    repeats = repeats if repeats is not None else bench_queries(5)
     rng = np.random.default_rng(seed)
 
     rows = []
@@ -1333,7 +1308,7 @@ def format_host_overhead(result: dict) -> str:
 
 def e16_async_serving(device_name: str = "A10",
                       model_name: str = "bert",
-                      num_queries: int | None = None,
+                      num_queries: int = 150,
                       arrival_rate_qps: float = 600.0,
                       compile_workers: int = 2,
                       seed: int = 0) -> dict:
@@ -1360,8 +1335,6 @@ def e16_async_serving(device_name: str = "A10",
                            SignatureCompileCost, VirtualScheduler)
 
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(150)
     model = _bench_model(model_name)
     trace = make_trace(model, num_queries, "zipf", seed=seed,
                        fixed_axes={"batch": 1})
@@ -1452,7 +1425,7 @@ def format_async_serving(result: dict) -> str:
 
 def e17_dynamic_batching(device_name: str = "A10",
                          model_name: str = "bert",
-                         num_queries: int | None = None,
+                         num_queries: int = 400,
                          rates_qps: list | None = None,
                          max_batch_size: int = 8,
                          max_queue_delay_us: float = 2_000.0,
@@ -1482,8 +1455,6 @@ def e17_dynamic_batching(device_name: str = "A10",
                            VirtualScheduler)
 
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(400)
     rates_qps = rates_qps or [600.0, 1_000.0, 2_000.0, 4_000.0, 10_000.0]
     # Serving-scale depth: 12 layers puts the solo saturation point
     # (~500 qps on A10) well below the 2 000 qps gate rate, so the
@@ -1617,7 +1588,7 @@ def format_dynamic_batching(result: dict) -> str:
 
 def e18_fleet_routing(device_name: str = "A10",
                       model_name: str = "bert",
-                      num_queries: int | None = None,
+                      num_queries: int = 600,
                       arrival_rate_qps: float = 2_000.0,
                       replica_counts: tuple = (1, 2, 4, 8),
                       plan_capacity: int = 64,
@@ -1656,8 +1627,6 @@ def e18_fleet_routing(device_name: str = "A10",
                            SignatureCompileCost, VirtualScheduler)
 
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(600)
     gate_replicas = 4
     # Serving-scale depth (as E17): the fused fast path holds ~500
     # qps/replica, the eager fallback ~80 — the gate rate sits between

@@ -7,12 +7,14 @@ capture and can be diffed across runs.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
-__all__ = ["format_table", "save_results", "results_dir", "print_and_save"]
+__all__ = ["format_table", "save_results", "results_dir", "print_and_save",
+           "gate_main"]
 
 
 def results_dir() -> Path:
@@ -71,3 +73,32 @@ def print_and_save(name: str, payload: dict, text: str) -> None:
     print()
     print(text)
     save_results(name, payload, text)
+
+
+def gate_main(name: str, experiment: Callable[..., dict],
+              format_result: Callable[[dict], str],
+              failures: Callable[[dict], list],
+              quick: dict | None = None) -> int:
+    """The command line of a gated ``benchmarks/bench_eN_*.py`` script.
+
+    Runs ``experiment`` at its defaults (the checked-in artifact's
+    parameters) and saves ``name``; with ``--quick``, offered only when
+    ``quick`` holds the smaller run's overrides, it saves ``name.quick``
+    instead.  Prints every line of ``failures(result)`` and returns 1 if
+    there is any, else 0.
+    """
+    parser = argparse.ArgumentParser(description=f"{name} with its gates")
+    if quick is not None:
+        parser.add_argument("--quick", action="store_true",
+                            help=f"smaller run saved as {name}.quick; what "
+                                 "CI runs")
+    is_quick = getattr(parser.parse_args(), "quick", False)
+    result = experiment(**(quick if is_quick else {}))
+    print_and_save(name + (".quick" if is_quick else ""), result,
+                   format_result(result))
+    found = failures(result)
+    for line in found:
+        print(f"FAIL: {line}")
+    if not found:
+        print(f"OK: {name} meets every gate")
+    return 1 if found else 0

@@ -15,7 +15,15 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["shape_signature", "make_signature_fn"]
+__all__ = ["shape_signature", "make_signature_fn", "round_up_pow2"]
+
+
+def round_up_pow2(value: int) -> int:
+    """The smallest power of two >= ``value`` (1 for value <= 1): the
+    pad ceiling of per-bucket baselines and of the dynamic batcher."""
+    if value <= 1:
+        return 1
+    return 1 << (int(value) - 1).bit_length()
 
 
 def shape_signature(inputs: Mapping[str, np.ndarray]) -> tuple:

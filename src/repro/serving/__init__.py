@@ -30,7 +30,7 @@ deterministic concurrency suite.
 """
 
 from .batching import (BatchingOptions, BatchingServingEngine,
-                       ShapeBucketer, round_up_pow2)
+                       ShapeBucketer)
 from .clock import Clock, SystemClock, VirtualClock
 from .cluster import (Arrival, ClusterRun, ClusterSim, TenantTraffic,
                       poisson_arrivals)
@@ -88,6 +88,5 @@ __all__ = [
     "VirtualScheduler",
     "make_policy",
     "poisson_arrivals",
-    "round_up_pow2",
     "stable_hash",
 ]

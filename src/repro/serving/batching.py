@@ -43,21 +43,14 @@ from dataclasses import dataclass
 
 from ..core.symbolic.analysis import ConstraintLevel, analyze_shapes
 from ..device.profiles import DeviceProfile
+from ..runtime.caches import round_up_pow2
 from ..runtime.launchplan import format_signature
 from .engine import Request, ServingEngine, ServingOptions
 from .scheduler import VirtualScheduler
 
-__all__ = ["BatchingOptions", "BatchingServingEngine", "ShapeBucketer",
-           "round_up_pow2"]
+__all__ = ["BatchingOptions", "BatchingServingEngine", "ShapeBucketer"]
 
 PAD_POLICIES = ("exact", "bucket")
-
-
-def round_up_pow2(value: int) -> int:
-    """The smallest power of two >= ``value`` (1 for value <= 1)."""
-    if value <= 1:
-        return 1
-    return 1 << (int(value) - 1).bit_length()
 
 
 @dataclass

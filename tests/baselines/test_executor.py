@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.baselines import BaselineSpec, SimulatedBaseline, pow2_bucket
+from repro.baselines import BaselineSpec, SimulatedBaseline
 from repro.core.fusion.kinds import FusionConfig
 from repro.core.symbolic import ConstraintLevel
 from repro.device import A10
 from repro.interp import evaluate
+from repro.runtime.caches import round_up_pow2
 
 from ..conftest import toy_mlp_graph, toy_mlp_inputs
 
@@ -29,12 +30,12 @@ def spec(**overrides):
 
 
 def test_pow2_bucket():
-    assert pow2_bucket(1) == 1
-    assert pow2_bucket(2) == 2
-    assert pow2_bucket(3) == 4
-    assert pow2_bucket(64) == 64
-    assert pow2_bucket(65) == 128
-    assert pow2_bucket(0) == 1
+    assert round_up_pow2(1) == 1
+    assert round_up_pow2(2) == 2
+    assert round_up_pow2(3) == 4
+    assert round_up_pow2(64) == 64
+    assert round_up_pow2(65) == 128
+    assert round_up_pow2(0) == 1
 
 
 def test_numerics_match_interpreter(rng):
@@ -70,7 +71,7 @@ def test_per_signature_policy(rng):
 def test_per_bucket_policy_shares_within_bucket(rng):
     b = toy_mlp_graph()
     executor = SimulatedBaseline(b.graph, A10, spec(
-        compile_policy="per_bucket", bucket=pow2_bucket))
+        compile_policy="per_bucket", bucket=round_up_pow2))
     __, s1 = executor.run(toy_mlp_inputs(rng, 2, 5))   # buckets (2, 8)
     __, s2 = executor.run(toy_mlp_inputs(rng, 2, 7))   # same buckets
     __, s3 = executor.run(toy_mlp_inputs(rng, 2, 9))   # bucket (2, 16)
@@ -82,7 +83,7 @@ def test_per_bucket_policy_shares_within_bucket(rng):
 def test_padding_charged_not_executed(rng):
     b = toy_mlp_graph()
     padded = SimulatedBaseline(b.graph, A10, spec(
-        compile_policy="per_bucket", bucket=pow2_bucket))
+        compile_policy="per_bucket", bucket=round_up_pow2))
     exact = SimulatedBaseline(b.graph, A10, spec())
     inputs = toy_mlp_inputs(rng, 3, 5)  # pads to (4, 8)
     (out_p,), stats_p = padded.run(inputs)
@@ -97,7 +98,7 @@ def test_padding_charged_not_executed(rng):
 def test_no_padding_on_exact_bucket(rng):
     b = toy_mlp_graph()
     padded = SimulatedBaseline(b.graph, A10, spec(
-        compile_policy="per_bucket", bucket=pow2_bucket))
+        compile_policy="per_bucket", bucket=round_up_pow2))
     __, stats = padded.run(toy_mlp_inputs(rng, 4, 8))
     assert stats.padding_waste_bytes == 0
 
@@ -139,7 +140,7 @@ def test_fusion_config_controls_kernel_count(rng):
 
 @pytest.mark.parametrize("overrides", [
     {},
-    {"compile_policy": "per_bucket", "bucket": pow2_bucket},
+    {"compile_policy": "per_bucket", "bucket": round_up_pow2},
     {"eager_dispatch": True, "compile_policy": "none",
      "compile_grade": None},
 ])

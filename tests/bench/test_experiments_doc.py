@@ -1,9 +1,10 @@
 """EXPERIMENTS.md quotes the checked-in artifacts, not stale numbers."""
 
-import importlib.util
 import json
 import re
 from pathlib import Path
+
+from .test_gates import bench_script
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -271,11 +272,23 @@ def test_e18_table_matches_the_artifact():
             f"{gate['round_robin']['p99_us'] / 1000:.1f} ms)") in section
 
 
+def test_e10_numbers_match_the_artifact():
+    artifact = _artifact("e10_placement_overhead")
+    section = _section("E10")
+    on, off = artifact["placement_rows"]
+    assert (f"cuts {off['kernels_per_query']:.0f} kernels/query to "
+            f"{on['kernels_per_query']:.0f} and "
+            f"{off['mean_steady_us']:.0f} µs to "
+            f"{on['mean_steady_us']:.0f} µs") in section
+    slowest = max(artifact["analysis_rows"],
+                  key=lambda row: row["analysis_ms"])
+    assert (f"at most {slowest['analysis_ms']:.2f} ms per zoo model "
+            f"({slowest['model']})") in section
+    assert "wall-clock" in section
+
+
 def test_e17_quotes_the_pinned_e16_baseline():
-    path = ROOT / "benchmarks" / "bench_e17_dynamic_batching.py"
-    spec = importlib.util.spec_from_file_location("bench_e17", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = bench_script("bench_e17_dynamic_batching")
     assert (f"{bench.E16_P99_HEADROOM}× the E16 async-serving baseline "
             f"({bench.E16_ASYNC_P99_US / 1000:.1f} ms, the p99 of E16's "
             f"60-query `--quick` run") in _section("E17")

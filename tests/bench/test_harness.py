@@ -1,9 +1,6 @@
-"""Harness internals: bench model configs, trace builders, CLI."""
+"""Harness internals: bench model configs and trace builders."""
 
-import numpy as np
-import pytest
-
-from repro.bench import BENCH_MODELS, bench_queries
+from repro.bench import BENCH_MODELS
 from repro.bench.experiments import _bench_model, _k_distinct_trace
 from repro.models import MODEL_BUILDERS
 
@@ -15,13 +12,6 @@ def test_bench_models_cover_the_zoo():
 def test_bench_models_buildable():
     model = _bench_model("dien")
     assert model.name == "dien"
-
-
-def test_bench_queries_env(monkeypatch):
-    monkeypatch.delenv("REPRO_BENCH_QUERIES", raising=False)
-    assert bench_queries(30) == 30
-    monkeypatch.setenv("REPRO_BENCH_QUERIES", "7")
-    assert bench_queries(30) == 7
 
 
 def test_k_distinct_trace_counts():
@@ -39,16 +29,3 @@ def test_k_distinct_trace_cycles_deterministically():
     assert values[0] == values[2] == values[4]
     assert values[1] == values[3]
 
-
-def test_cli_runs_one_experiment(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-    from repro.bench.__main__ import main
-    assert main(["e9", "--device", "A10"]) == 0
-    assert (tmp_path / "e9_schedule_selection.txt").exists()
-
-
-def test_cli_rejects_unknown(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-    from repro.bench.__main__ import main
-    with pytest.raises(SystemExit):
-        main(["e99"])
