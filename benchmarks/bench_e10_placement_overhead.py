@@ -1,9 +1,8 @@
-"""E10 — shape-computation placement + analysis-overhead table.
+"""E10 — shape-computation placement.
 
-Two results: (a) host placement of shape scalar arithmetic removes one
-kernel launch per shape op on a length-aware model; (b) the symbolic shape
-analysis itself is a negligible share of compilation time for every zoo
-model.
+Host placement of shape scalar arithmetic removes one kernel launch per
+shape op on a length-aware model.  The symbolic shape analysis's share of
+compilation time is E6's ``analysis_ms`` column, gated there.
 """
 
 import pytest
@@ -26,5 +25,3 @@ def test_bench_e10_placement(benchmark, experiment, bert_disc,
     enabled, disabled = experiment["placement_rows"]
     assert enabled["mean_steady_us"] < disabled["mean_steady_us"]
     assert enabled["kernels_per_query"] < disabled["kernels_per_query"]
-    for row in experiment["analysis_rows"]:
-        assert row["analysis_ms"] < 1e3 * row["pipeline_wall_s"]

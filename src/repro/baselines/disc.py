@@ -45,13 +45,3 @@ class DiscExecutor(Executor):
                 self.executable.report.simulated_compile_us
             stats.cache_hit = False
         return outputs, stats
-
-    def cache_stats(self) -> dict:
-        """Launch-plan cache statistics (host-side, not simulated).
-
-        The executable itself is shape-generic — nothing recompiles per
-        shape — but the engine freezes per-signature *launch plans*
-        (dim bindings, schedule choices, evaluated costs); this exposes
-        their hit/miss/eviction accounting for the serving benchmarks.
-        """
-        return self.engine.plans.stats()

@@ -24,7 +24,6 @@ from ..device import Timeline, device_named
 from ..ir import f32
 from ..ir.builder import GraphBuilder
 from ..models import build_model
-from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
 from ..runtime.engine import EngineOptions, ExecutionEngine
 from ..workloads import make_trace
@@ -758,7 +757,8 @@ def _length_feature_model(hidden: int = 256, num_shape_ops: int = 8):
 def e10_placement_overhead(device_name: str = "A10",
                            num_queries: int = 10,
                            seed: int = 0) -> dict:
-    """Host-placement benefit + symbolic-analysis compile overhead."""
+    """Host-placement benefit on a length-aware model.  The symbolic
+    analysis's share of compile time is E6's ``analysis_ms`` column."""
     device = device_named(device_name)
     graph = _length_feature_model()
     executable = DiscCompiler(CompileOptions()).compile(graph)
@@ -778,25 +778,18 @@ def e10_placement_overhead(device_name: str = "A10",
             "mean_steady_us": timeline.mean_steady_us,
             "kernels_per_query": timeline.kernels / timeline.calls,
         })
-    analysis_rows = e6_compile_overhead(depths=())["rows"]
     return {"experiment": "placement_overhead", "device": device_name,
-            "placement_rows": rows, "analysis_rows": analysis_rows}
+            "placement_rows": rows}
 
 
 def format_placement_overhead(result: dict) -> str:
     headers = ["host placement", "latency (us)", "kernels/query"]
     rows = [[str(r["host_placement"]), r["mean_steady_us"],
              r["kernels_per_query"]] for r in result["placement_rows"]]
-    part1 = format_table(
+    return format_table(
         headers, rows,
         f"[{result['device']}] Shape-computation placement "
         f"(length-feature model)")
-    headers2 = ["model", "analysis (ms)", "pipeline wall (s)"]
-    rows2 = [[r["model"], r["analysis_ms"], r["pipeline_wall_s"]]
-             for r in result["analysis_rows"]]
-    part2 = format_table(headers2, rows2,
-                         "Symbolic analysis cost within compilation")
-    return part1 + "\n\n" + part2
 
 
 # ---------------------------------------------------------------------------
@@ -1508,8 +1501,7 @@ def e17_dynamic_batching(device_name: str = "A10",
         arrivals = np.cumsum(gaps * (1e6 / rate))
         for batched in (False, True):
             scheduler = VirtualScheduler(seed=seed + 2)
-            tracer = Tracer(clock=scheduler.clock,
-                            metrics=MetricsRegistry())
+            tracer = Tracer(clock=scheduler.clock)
             serving = build(batched, scheduler, tracer)
             tickets = _submit_at(scheduler, serving.submit, model_name,
                                  inputs, arrivals)
@@ -1518,9 +1510,9 @@ def e17_dynamic_batching(device_name: str = "A10",
             latencies = np.array([r.latency_us for r in ok])
             makespan_us = max(r.finish_us for r in ok) - arrivals[0]
             counters = serving.counters
-            size_hist = tracer.metrics.histogram("serving.batch.size")
-            waste_hist = tracer.metrics.histogram(
-                "serving.batch.padding_waste_frac")
+            sizes = tracer.spans.named("batch:launch").attr_values("size")
+            waste = [serving.bucketer(model_name).padding_waste(r.signature)
+                     for r in serving.completed if r.path == "batched"]
             rows.append({
                 "mode": "batched" if batched else "unbatched",
                 "rate_qps": rate,
@@ -1532,10 +1524,10 @@ def e17_dynamic_batching(device_name: str = "A10",
                 "shed": counters["shed"],
                 "batches": counters.get("batches_formed", 0),
                 "batched_served": counters.get("batched_served", 0),
-                "mean_batch": round(size_hist.mean, 2)
-                if size_hist.count else None,
-                "mean_padding_waste": round(waste_hist.mean, 3)
-                if waste_hist.count else None,
+                "mean_batch": round(sum(sizes) / len(sizes), 2)
+                if sizes else None,
+                "mean_padding_waste": round(sum(waste) / len(waste), 3)
+                if waste else None,
             })
 
     def row(mode, rate):

@@ -337,9 +337,6 @@ class IntervalMap:
     def interval_of(self, dim) -> Interval:
         return self.fact_of(dim).interval
 
-    def shape_intervals(self, shape) -> list:
-        return [self.interval_of(d) for d in shape]
-
     def product_fact(self, shape) -> IntervalFact:
         """Interval of a shape's element count, with merged provenance."""
         interval = Interval.point(1)

@@ -54,10 +54,6 @@ class Node:
         return self.category is OpCategory.REDUCTION
 
     @property
-    def is_source(self) -> bool:
-        return self.category is OpCategory.SOURCE
-
-    @property
     def rank(self) -> int:
         return len(self.shape)
 

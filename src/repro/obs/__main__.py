@@ -17,22 +17,10 @@ import sys
 
 import numpy as np
 
+from ..bench.experiments import E15_MODELS
 from .export import write_artifacts
 from .metrics import MetricsRegistry
 from .tracer import CapturingTracer
-
-#: small model configs — the compile and the trace stay quick.
-_MODEL_OVERRIDES = {
-    "bert": {"layers": 1, "hidden": 64, "heads": 2, "vocab": 128},
-    "albert": {"layers": 2, "hidden": 64, "heads": 2, "vocab": 128},
-    "gpt2": {"layers": 1, "hidden": 64, "heads": 2, "vocab": 128},
-    "t5": {"layers": 1, "hidden": 64, "heads": 2, "vocab": 128},
-    "s2t": {"layers": 1, "hidden": 64, "heads": 2, "vocab": 64},
-    "crnn": {"channels": 16, "charset": 32},
-    "fastspeech2": {"layers": 1, "hidden": 64, "heads": 2},
-    "dien": {"items": 256, "embed_dim": 16},
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -41,8 +29,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "(Chrome trace for Perfetto, text tree, JSONL).")
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--model",
-                        choices=sorted(_MODEL_OVERRIDES),
-                        help="zoo model to compile and run")
+                        choices=sorted(E15_MODELS),
+                        help="zoo model to compile and run (at E15's "
+                             "small configs)")
     source.add_argument("--case",
                         help="fuzz-corpus case JSON to replay instead")
     parser.add_argument("--device", default="A10",
@@ -67,7 +56,7 @@ def _load_subject(args) -> tuple:
     """Resolve (name, graph, inputs) from --model or --case."""
     if args.model is not None:
         from ..models import build_model
-        model = build_model(args.model, **_MODEL_OVERRIDES[args.model])
+        model = build_model(args.model, **E15_MODELS[args.model])
         rng = np.random.default_rng(args.seed)
         return args.model, model.graph, model.sample_inputs(rng)
     from ..fuzz.corpus import load_case

@@ -1,10 +1,11 @@
-"""The metrics registry: counters, gauges, exact-quantile histograms.
+"""The metrics registry: counters and exact-quantile histograms.
 
 Metrics are the aggregate face of the same data tracing records span by
 span: a :class:`Tracer` constructed with ``metrics=MetricsRegistry()``
 feeds every completed span into ``spans.<name>`` (a counter) and
 ``span_us.<name>`` (a histogram of durations); events land in
-``events.<name>``.  Components may also write metrics directly.
+``events.<name>``.  That span feed is the registry's only writer;
+components keep their own counts in their ``stats()``.
 
 Histograms keep every observation, so quantiles are *exact* — the right
 trade for a simulated substrate where determinism beats memory, and what
@@ -18,7 +19,7 @@ from __future__ import annotations
 import threading
 from math import ceil
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry"]
 
 
 class Counter:
@@ -32,24 +33,8 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
-            raise ValueError("counters only go up; use a gauge")
+            raise ValueError("counters only go up")
         self.value += amount
-
-
-class Gauge:
-    """A value that goes up and down (queue depth, cache size)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def add(self, delta: float) -> None:
-        self.value += float(delta)
 
 
 class Histogram:
@@ -115,7 +100,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # -- access (create on first touch) -------------------------------------
@@ -125,13 +109,6 @@ class MetricsRegistry:
             got = self._counters.get(name)
             if got is None:
                 got = self._counters[name] = Counter(name)
-            return got
-
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            got = self._gauges.get(name)
-            if got is None:
-                got = self._gauges[name] = Gauge(name)
             return got
 
     def histogram(self, name: str) -> Histogram:
@@ -159,8 +136,6 @@ class MetricsRegistry:
             return {
                 "counters": {name: c.value for name, c
                              in sorted(self._counters.items())},
-                "gauges": {name: g.value for name, g
-                           in sorted(self._gauges.items())},
                 "histograms": {name: h.snapshot() for name, h
                                in sorted(self._histograms.items())},
             }

@@ -101,6 +101,3 @@ class PassManager:
                          nodes_after=len(graph.nodes),
                          node_delta=len(graph.nodes) - nodes_before)
         return self.results
-
-    def total_time_s(self) -> float:
-        return sum(r.duration_s for r in self.results)

@@ -368,11 +368,11 @@ class BatchingServingEngine(ServingEngine):
         """Admitted requests enter a shape bucket, not the raw queue."""
         bucketer = self._bucketers[request.model]
         key = (request.model, bucketer.bucket_key(request.signature))
-        now = self.scheduler.now_us()
-        if self._join_queued_batch(request, key, now):
+        if self._join_queued_batch(request, key):
             return
         bucket = self._buckets.get(key)
         if bucket is None:
+            now = self.scheduler.now_us()
             bucket = _Bucket(key, request.model, opened_us=now)
             self._buckets[key] = bucket
             bucket.flush_handle = self.scheduler.call_at(
@@ -387,8 +387,7 @@ class BatchingServingEngine(ServingEngine):
         if len(bucket.members) >= self.max_batch_for(request.model):
             self._flush(bucket)
 
-    def _join_queued_batch(self, request: Request, key: tuple,
-                           now: float) -> bool:
+    def _join_queued_batch(self, request: Request, key: tuple) -> bool:
         """Absorb ``request`` into a same-bucket batch still waiting in
         the queue, if one has room.  The batch is already behind the
         busy server, so joining adds no latency to anyone — it only
@@ -398,11 +397,6 @@ class BatchingServingEngine(ServingEngine):
                     len(item.members) < self.max_batch_for(item.model):
                 item.members.append(request)
                 self._member_state[request.id] = ("batch", item)
-                metrics = getattr(self.tracer, "metrics", None)
-                if metrics is not None:
-                    metrics.histogram(
-                        "serving.batch.queue_delay_us").observe(
-                        now - request.arrival_us)
                 if self.tracer.enabled:
                     self.tracer.event(
                         "batch:join", parent=request.span,
@@ -424,18 +418,13 @@ class BatchingServingEngine(ServingEngine):
         members = [r for r in bucket.members if not r.done]
         if not members:
             return
-        now = self.scheduler.now_us()
-        metrics = getattr(self.tracer, "metrics", None)
-        if metrics is not None:
-            delay = metrics.histogram("serving.batch.queue_delay_us")
-            for request in members:
-                delay.observe(now - request.arrival_us)
         if len(members) == 1:
             # A lone member takes the solo path: a single-request
             # stream is indistinguishable from the unbatched engine.
             super()._enqueue(members[0])
             return
         bucketer = self._bucketers[bucket.model]
+        now = self.scheduler.now_us()
         batch = _Batch(bucket.key, bucket.model, members,
                        bucketer.padded_signature(members[0].signature),
                        formed_us=now)
@@ -490,15 +479,6 @@ class BatchingServingEngine(ServingEngine):
             self._explode(item, live)
             return
         tracer = self.tracer
-        metrics = getattr(tracer, "metrics", None)
-        if metrics is not None:
-            # Size/waste are observed at launch, not at flush: late
-            # joiners fill slots after the batch is formed.
-            metrics.histogram("serving.batch.size").observe(len(live))
-            waste = metrics.histogram("serving.batch.padding_waste_frac")
-            bucketer = self._bucketers[item.model]
-            for request in live:
-                waste.observe(bucketer.padding_waste(request.signature))
         if tracer.enabled:
             for request in live:
                 tracer.event("serving:route", parent=request.span,
@@ -553,10 +533,5 @@ class BatchingServingEngine(ServingEngine):
 
     def stats(self) -> dict:
         info = super().stats()
-        info["batching"] = {
-            "open_buckets": len(self._buckets),
-            "batches_formed": self.counters["batches_formed"],
-            "batches_exploded": self.counters["batches_exploded"],
-            "batched_served": self.counters["batched_served"],
-        }
+        info["batching"] = {"open_buckets": len(self._buckets)}
         return info

@@ -41,7 +41,6 @@ from ..core.pipeline import CompileOptions, compile_graph
 from ..device.counters import RunStats
 from ..device.profiles import DeviceProfile
 from ..ir.graph import Graph
-from ..lint import LintLevel, lint_executable
 from ..obs.tracer import resolve_tracer
 from ..runtime.engine import EngineOptions, ExecutionEngine
 from ..runtime.executable import Executable
@@ -87,8 +86,6 @@ class ServingOptions:
     compile_cost: SignatureCompileCost = field(
         default_factory=SignatureCompileCost)
     engine: EngineOptions = field(default_factory=EngineOptions)
-    #: lint gate applied when registering a model (OFF = skip).
-    lint_level: LintLevel = LintLevel.OFF
     #: budgeted background schedule autotuning (None = heuristics only).
     #: When set, every background compile job additionally runs the
     #: schedule search for its signature — sized into the job's duration
@@ -365,7 +362,7 @@ class ServingEngine:
                        *, fallback: EagerFallback | None = None,
                        shared_plans: SharedPlans | None = None
                        ) -> _ModelEntry:
-        """Compile (if needed), lint-gate, and install a model.
+        """Compile (if needed) and install a model.
 
         ``fallback`` is an eager fallback already built for ``model``'s
         executable and ``shared_plans`` a frozen-plan memo for it (a
@@ -379,14 +376,6 @@ class ServingEngine:
             executable = compile_graph(model, compile_options)
         else:
             executable = model
-        if self.options.lint_level is not LintLevel.OFF:
-            sink = lint_executable(executable)
-            failures = sink.failures(self.options.lint_level)
-            if failures:
-                rendered = "; ".join(str(d) for d in failures[:3])
-                raise ValueError(
-                    f"model {name!r} fails lint at "
-                    f"{self.options.lint_level.value}: {rendered}")
         engine = ExecutionEngine(executable, self.device,
                                  self.options.engine,
                                  tracer=self._raw_tracer,
@@ -611,10 +600,5 @@ class ServingEngine:
             stats["tuning"] = dict(
                 self.tuning_totals,
                 budget_us=self.tuner.options.budget_us,
-                tuned_signatures=self.counters["tuned_signatures"],
-                tuned_served=self.counters["tuned_served"],
-                faults=self.counters["tuning_faults"],
-                budget_exhaustions=self.counters[
-                    "tuning_budget_exhausted"],
                 quarantined=len(self._tuning_quarantined))
         return stats

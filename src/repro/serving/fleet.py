@@ -219,7 +219,6 @@ class FleetEngine:
             raise ValueError("need at least one replica")
         self.tracer = resolve_tracer(tracer)
         self._raw_tracer = tracer
-        self.metrics = getattr(self.tracer, "metrics", None)
         policy = self.options.policy
         if isinstance(policy, str):
             kwargs = ({"spill_depth": self.options.affinity_spill_depth}
@@ -298,9 +297,6 @@ class FleetEngine:
         if self.tracer.enabled:
             self.tracer.event("fleet:replica_up", replica=name,
                               reason=reason)
-        if self.metrics is not None:
-            self.metrics.gauge("fleet.replicas.active").set(
-                len(self.active_replicas()))
         return replica
 
     def active_replicas(self) -> list[_Replica]:
@@ -330,10 +326,6 @@ class FleetEngine:
         self._record(("drain", now, name, reason))
         if self.tracer.enabled:
             self.tracer.event("fleet:drain", replica=name, reason=reason)
-        if self.metrics is not None:
-            self.metrics.counter("fleet.drains").inc()
-            self.metrics.gauge("fleet.replicas.active").set(
-                len(self.active_replicas()))
         self._poll_retire(replica)
 
     def _poll_retire(self, replica: _Replica) -> None:
@@ -352,8 +344,6 @@ class FleetEngine:
         self._record(("retire", now, replica.name))
         if self.tracer.enabled:
             self.tracer.event("fleet:retire", replica=replica.name)
-        if self.metrics is not None:
-            self.metrics.counter("fleet.retires").inc()
 
     # -- registration ------------------------------------------------------
 
@@ -488,8 +478,6 @@ class FleetEngine:
         if self.tracer.enabled:
             self.tracer.event("fleet:shed", seq=seq, tenant=tenant,
                               model=model)
-        if self.metrics is not None:
-            self.metrics.counter(f"fleet.shed.tenant.{tenant}").inc()
         response = Response(
             request_id=seq, model=model, status=ResponseStatus.SHED,
             path=None, outputs=None, stats=None, signature=signature,
@@ -507,12 +495,6 @@ class FleetEngine:
                 self.counters["affinity_hits"] += 1
             else:
                 self.counters["affinity_misses"] += 1
-        if self.metrics is not None:
-            self.metrics.counter("fleet.routed").inc()
-            self.metrics.counter(
-                f"fleet.routed.replica.{decision.replica}").inc()
-            if decision.spilled:
-                self.metrics.counter("fleet.affinity.spills").inc()
 
     # -- autoscaling -------------------------------------------------------
 
@@ -545,11 +527,6 @@ class FleetEngine:
         auto = self.options.autoscaler
         now = self.scheduler.now_us()
         active = self.active_replicas()
-        if self.metrics is not None:
-            for replica in active:
-                self.metrics.gauge(
-                    f"fleet.replica.{replica.name}.waiting").set(
-                        replica.waiting())
 
         # -- scale up on a sustained breach --------------------------------
         mean_depth = (sum(r.waiting() for r in active) / len(active)
@@ -571,8 +548,6 @@ class FleetEngine:
                     self._last_scale_up_us = now
                     self._breach_since_us = None
                     self._add_replica(reason="autoscale")
-                    if self.metrics is not None:
-                        self.metrics.counter("fleet.scale_ups").inc()
                 else:
                     # Scaling is load-justified but would overcommit
                     # the proven memory pool; record the block and
@@ -582,9 +557,6 @@ class FleetEngine:
                     self._breach_since_us = None
                     self._record(("scale_blocked_memory", now,
                                   len(active), allowed))
-                    if self.metrics is not None:
-                        self.metrics.counter(
-                            "fleet.memory_blocked_scale_ups").inc()
         else:
             self._breach_since_us = None
 

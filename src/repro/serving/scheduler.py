@@ -123,7 +123,3 @@ class VirtualScheduler:
             handle.fn()
         self.clock.advance_to(time_us)
         return dispatched
-
-    def pending(self) -> int:
-        """Live (non-cancelled) events still queued."""
-        return sum(1 for *_, h in self._heap if not h.cancelled)

@@ -83,16 +83,15 @@ class StrategySpace:
     """The tuned-variant grid for one device, plus its pruning rules.
 
     ``thread_counts`` / ``vector_widths`` / ``col_splits`` bound the
-    grid; widths outside the families the codegen can actually emit
+    grid (``TuningOptions`` holds their defaults); widths outside the
+    families the codegen can actually emit
     (:data:`EW_VECTOR_WIDTHS`, :data:`ROW_TILE_VECTOR_WIDTHS`) are
     dropped at construction — they are not grid points at all, so they
     neither count as enumerated nor charge the budget.
     """
 
-    def __init__(self, device: DeviceProfile,
-                 thread_counts=(32, 64, 128, 256, 512, 1024),
-                 vector_widths=(1, 2, 4, 8),
-                 col_splits=(1, 2, 4, 8, 16, 32)) -> None:
+    def __init__(self, device: DeviceProfile, thread_counts,
+                 vector_widths, col_splits) -> None:
         self.device = device
         self.thread_counts = tuple(t for t in thread_counts if t >= 1)
         self.ew_widths = tuple(w for w in vector_widths

@@ -280,7 +280,7 @@ def test_e10_numbers_match_the_artifact():
             f"{on['kernels_per_query']:.0f} and "
             f"{off['mean_steady_us']:.0f} µs to "
             f"{on['mean_steady_us']:.0f} µs") in section
-    slowest = max(artifact["analysis_rows"],
+    slowest = max(_artifact("e6_compile_overhead")["rows"],
                   key=lambda row: row["analysis_ms"])
     assert (f"at most {slowest['analysis_ms']:.2f} ms per zoo model "
             f"({slowest['model']})") in section
@@ -299,3 +299,21 @@ def test_ratio_formatting():
     assert _ratio(45.21) == "45.2×"
     assert _ratio(4.214) == "4.21×"
     assert _ratio(1234.0) == "1,234×"
+
+
+def test_design_index_names_artifacts_not_parameters():
+    """DESIGN.md §4 names each workload; its query counts, rates and
+    shape counts live once, in the ``eN_*`` defaults and the artifact."""
+    text = (ROOT / "DESIGN.md").read_text()
+    index = text.split("## 4.")[1].split("\n## ")[0]
+    rows = [[c.strip() for c in line.strip("|").split("|")]
+            for line in index.splitlines() if line.startswith("| E")]
+    assert len(rows) == 14
+    for cells in rows:
+        workload, target = cells[3], cells[5]
+        # A standalone number (not an id like E1 or S2T) is a parameter.
+        assert not re.search(r"\b\d", workload), cells[0]
+        artifact = re.fullmatch(r"`benchmarks/bench_(\w+)\.py`", target)
+        assert artifact is not None, cells[0]
+        assert (ROOT / "benchmarks" / "results"
+                / f"{artifact[1]}.json").exists()

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.obs import (CapturingTracer, Counter, Gauge, Histogram,
-                       MetricsRegistry)
+from repro.obs import CapturingTracer, Counter, Histogram, MetricsRegistry
 
 from .conftest import StepClock
 
@@ -15,13 +14,6 @@ def test_counter_only_goes_up():
     assert c.value == 5
     with pytest.raises(ValueError):
         c.inc(-1)
-
-
-def test_gauge_moves_both_ways():
-    g = Gauge("queue_depth")
-    g.set(3)
-    g.add(-2)
-    assert g.value == 1.0
 
 
 def test_histogram_quantiles_are_exact_nearest_rank():
@@ -65,7 +57,6 @@ def test_histogram_snapshot_fields():
 def test_registry_creates_on_first_touch_and_is_stable():
     registry = MetricsRegistry()
     assert registry.counter("a") is registry.counter("a")
-    assert registry.gauge("g") is registry.gauge("g")
     assert registry.histogram("h") is registry.histogram("h")
 
 
@@ -97,7 +88,29 @@ def test_snapshot_is_json_able():
 
     registry = MetricsRegistry()
     registry.counter("c").inc()
-    registry.gauge("g").set(1.5)
     registry.histogram("h").observe(2.0)
     parsed = json.loads(json.dumps(registry.snapshot()))
-    assert parsed["gauges"]["g"] == 1.5
+    assert parsed["counters"] == {"c": 1}
+    assert parsed["histograms"]["h"]["mean"] == 2.0
+
+
+def test_the_span_feed_is_the_registrys_only_writer():
+    """No module outside ``repro.obs`` creates a registry metric: every
+    count a component keeps lives in its own ``stats()``, and the registry
+    aggregates spans and events only."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    writers = []
+    for path in sorted(root.rglob("*.py")):
+        if path.relative_to(root).parts[0] == "obs":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("counter", "gauge", "histogram")):
+                writers.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert writers == []

@@ -303,7 +303,7 @@ def test_quarantined_batched_key_pins_bucket_to_solo(toy_exe,
 
 
 # ---------------------------------------------------------------------------
-# observability: histograms + batch spans
+# observability: batch spans
 # ---------------------------------------------------------------------------
 
 def test_batch_metrics_and_spans_are_recorded(toy_exe, inputs_by_shape):
@@ -324,12 +324,11 @@ def test_batch_metrics_and_spans_are_recorded(toy_exe, inputs_by_shape):
         serving.submit("mlp", inputs_by_shape[shape])
     scheduler.run_until_idle()
 
-    metrics = tracer.metrics
-    assert metrics.histogram("serving.batch.size").count == 1
-    assert metrics.histogram("serving.batch.size").mean == 2.0
-    assert metrics.histogram("serving.batch.queue_delay_us").count == 2
-    waste = metrics.histogram("serving.batch.padding_waste_frac")
-    assert waste.count == 2 and 0.0 < waste.mean < 1.0
+    assert tracer.metrics.snapshot()["counters"]["spans.batch:launch"] == 1
+    assert tracer.spans.one("batch:launch").attrs["size"] == 2
+    waste = [serving.bucketer("mlp").padding_waste(r.signature)
+             for r in serving.completed if r.path == "batched"]
+    assert len(waste) == 2 and 0.0 < sum(waste) / 2 < 1.0
     names = tracer.spans.names()
     assert names.count("batch:enqueue") == 2
     assert names.count("batch:flush") == 1

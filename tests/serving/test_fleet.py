@@ -586,11 +586,12 @@ def test_fleet_emits_spans_and_per_replica_metrics(toy_exe, inputs_a):
         scheduler.call_at(0.0, lambda: fleet.submit("mlp", inputs_a))
     scheduler.run_until_idle()
     snapshot = metrics.snapshot()["counters"]
-    assert snapshot["fleet.routed"] == 4
-    assert snapshot["fleet.routed.replica.r0"] == 2
-    assert snapshot["fleet.routed.replica.r1"] == 2
     assert snapshot["events.fleet:route"] == 4
     assert snapshot["events.fleet:replica_up"] == 2
+    stats = fleet.stats()
+    assert stats["fleet"]["routed"] == 4
+    assert {name: r["routed"] for name, r in stats["replicas"].items()} \
+        == {"r0": 2, "r1": 2}
 
 
 # -- ClusterSim: deterministic whole-cluster replay ------------------------

@@ -174,10 +174,11 @@ def test_stats_expose_the_tuning_block(toy_exe, toy_inputs):
     scheduler.run_until_idle()
     serving.submit("mlp", toy_inputs)
     scheduler.run_until_idle()
-    block = serving.stats()["tuning"]
-    assert block["tuned_signatures"] == 1
-    assert block["tuned_served"] == 1
-    assert block["faults"] == 0
+    stats = serving.stats()
+    requests, block = stats["requests"], stats["tuning"]
+    assert requests["tuned_signatures"] == 1
+    assert requests["tuned_served"] == 1
+    assert requests["tuning_faults"] == 0
     assert block["spent_us"] <= block["budget_us"]
     assert block["enumerated"] >= block["scored"] + block["pruned"]
     assert block["kernels"] >= 1

@@ -15,7 +15,15 @@ import pytest
 from repro.core.codegen.schedules import (ELEMENTWISE_SCHEDULES,
                                           REDUCTION_SCHEDULES)
 from repro.device import A10
-from repro.tuning import PRUNE_RULES, StrategySpace
+from repro.tuning import PRUNE_RULES, StrategySpace, TuningOptions
+
+
+def make_space(device, **grids):
+    """A space over ``TuningOptions``' default grids, as the tuner
+    builds it, with ``grids`` overriding some of them."""
+    options = dataclasses.replace(TuningOptions(), **grids)
+    return StrategySpace(device, options.thread_counts,
+                         options.vector_widths, options.col_splits)
 
 
 def names(result):
@@ -30,7 +38,7 @@ def generic_reduction_names():
 
 
 def test_grid_sizes_are_shape_independent():
-    space = StrategySpace(A10)
+    space = make_space(A10)
     assert space.elementwise_grid_size == len(ELEMENTWISE_SCHEDULES) \
         + len(space.ew_widths)
     assert space.reduction_grid_size == len(REDUCTION_SCHEDULES) \
@@ -46,14 +54,14 @@ def test_grid_sizes_are_shape_independent():
 def test_unsupported_widths_are_not_grid_points():
     """A width codegen cannot emit is dropped at construction, not
     enumerated-then-pruned — it must not charge the budget."""
-    space = StrategySpace(A10, vector_widths=(1, 2, 3, 4, 7, 8, 16))
+    space = make_space(A10, vector_widths=(1, 2, 3, 4, 7, 8, 16))
     assert 3 not in space.ew_widths and 16 not in space.ew_widths
     assert space.row_widths == (1, 2, 4)  # no row tile family at 8
     assert 8 in space.ew_widths
 
 
 def test_walks_are_deterministic():
-    space = StrategySpace(A10)
+    space = make_space(A10)
     first = space.reduction_candidates(64, 1024)
     second = space.reduction_candidates(64, 1024)
     assert names(first) == names(second)
@@ -64,7 +72,7 @@ def test_walks_are_deterministic():
 
 
 def test_generic_reduction_variants_always_survive():
-    space = StrategySpace(A10)
+    space = make_space(A10)
     for rows, cols in ((1, 1), (2, 3), (4096, 8192), (7, 997)):
         survivors = set(names(space.reduction_candidates(rows, cols)))
         assert generic_reduction_names() <= survivors
@@ -74,8 +82,8 @@ def test_empty_tuned_grid_degrades_to_generics():
     """With the whole tuned grid pruned away (prime cols kill every
     width>1, tiny extents kill the rest via overshoot/occupancy), the
     candidate set is exactly the generic dispatch set."""
-    space = StrategySpace(A10, thread_counts=(1024,),
-                          vector_widths=(2, 4), col_splits=(1,))
+    space = make_space(A10, thread_counts=(1024,),
+                       vector_widths=(2, 4), col_splits=(1,))
     result = space.reduction_candidates(1, 7)
     assert set(names(result)) == generic_reduction_names()
 
@@ -84,7 +92,7 @@ def test_flat_pruned_only_when_vectorized4_legal():
     """Generic elementwise variants survive except the one documented
     carve-out: vectorized4 on a misaligned innermost is dropped under
     ``misaligned`` (the dispatch stub never picks it either)."""
-    space = StrategySpace(A10)
+    space = make_space(A10)
     aligned = space.elementwise_candidates(1024, 64)
     misaligned = space.elementwise_candidates(1023, 31)
     assert "vectorized4" in names(aligned)
@@ -97,8 +105,8 @@ def test_flat_pruned_only_when_vectorized4_legal():
 
 
 def test_prune_threads_against_device_limit():
-    space = StrategySpace(A10, thread_counts=(2048,), vector_widths=(1,),
-                          col_splits=(1,))
+    space = make_space(A10, thread_counts=(2048,), vector_widths=(1,),
+                       col_splits=(1,))
     result = space.reduction_candidates(64, 8192)
     assert result.pruned["threads"] == 1
     assert set(names(result)) == generic_reduction_names()
@@ -106,8 +114,8 @@ def test_prune_threads_against_device_limit():
 
 def test_prune_vector_bytes_against_device_limit():
     narrow = dataclasses.replace(A10, max_vector_bytes=8)
-    space = StrategySpace(narrow, thread_counts=(256,),
-                          vector_widths=(4,), col_splits=(1,))
+    space = make_space(narrow, thread_counts=(256,),
+                       vector_widths=(4,), col_splits=(1,))
     result = space.reduction_candidates(64, 8192)
     assert result.pruned["vector_bytes"] == 1
     ew = space.elementwise_candidates(1024, 64)
@@ -117,54 +125,54 @@ def test_prune_vector_bytes_against_device_limit():
 
 def test_prune_smem_staging_overflow():
     tiny_smem = dataclasses.replace(A10, smem_bytes_per_block=4096)
-    space = StrategySpace(tiny_smem, thread_counts=(1024,),
-                          vector_widths=(1, 2), col_splits=(1,))
+    space = make_space(tiny_smem, thread_counts=(1024,),
+                       vector_widths=(1, 2), col_splits=(1,))
     result = space.reduction_candidates(64, 8192)
     # 2*4*1024*1 = 8192 > 4096 and 2*4*1024*2 = 16384 > 4096.
     assert result.pruned["smem"] == 2
 
 
 def test_prune_misaligned_row_width():
-    space = StrategySpace(A10, thread_counts=(32,), vector_widths=(2, 4),
-                          col_splits=(1,))
+    space = make_space(A10, thread_counts=(32,), vector_widths=(2, 4),
+                       col_splits=(1,))
     result = space.reduction_candidates(4096, 126)  # 126 % 4 != 0
     assert result.pruned["misaligned"] == 1  # width 4 only
     assert any(name.startswith("row_tile_t32v2") for name in names(result))
 
 
 def test_prune_split_excess():
-    space = StrategySpace(A10, thread_counts=(32,), vector_widths=(1,),
-                          col_splits=(1, 32))
+    space = make_space(A10, thread_counts=(32,), vector_widths=(1,),
+                       col_splits=(1, 32))
     result = space.reduction_candidates(2048, 16)
     assert result.pruned["split_excess"] == 1  # split 32 > 16 cols
 
 
 def test_prune_split_unneeded_at_saturation():
-    space = StrategySpace(A10, thread_counts=(256,), vector_widths=(1,),
-                          col_splits=(1, 2))
+    space = make_space(A10, thread_counts=(256,), vector_widths=(1,),
+                       col_splits=(1, 2))
     rows = A10.saturation_elements // 256 + 1
     result = space.reduction_candidates(rows, 8192)
     assert result.pruned["split_unneeded"] == 1
 
 
 def test_prune_overshoot_on_short_rows():
-    space = StrategySpace(A10, thread_counts=(1024,), vector_widths=(1,),
-                          col_splits=(1,))
+    space = make_space(A10, thread_counts=(1024,), vector_widths=(1,),
+                       col_splits=(1,))
     result = space.reduction_candidates(1 << 20, 8)
     # 1024 lanes over an 8-column row is >4x overshoot.
     assert result.pruned["overshoot"] == 1
 
 
 def test_prune_occupancy_floor():
-    space = StrategySpace(A10, thread_counts=(32,), vector_widths=(1,),
-                          col_splits=(1,))
+    space = make_space(A10, thread_counts=(32,), vector_widths=(1,),
+                       col_splits=(1,))
     result = space.reduction_candidates(4, 8192)
     # 4 rows * 32 lanes = 128 exposed, problem supports 32768: pruned.
     assert result.pruned["occupancy"] == 1
 
 
 def test_prune_dominated_keeps_pareto_front():
-    space = StrategySpace(A10)
+    space = make_space(A10)
     result = space.reduction_candidates(64, 8192)
     assert result.pruned["dominated"] > 0
     # No surviving tuned candidate may dominate another survivor.
@@ -184,14 +192,14 @@ def test_prune_dominated_keeps_pareto_front():
 def test_identical_tuned_profiles_do_not_annihilate():
     """Two tuned grid points with byte-identical profiles must not prune
     each other (the dominance check requires a strict difference)."""
-    space = StrategySpace(A10, thread_counts=(64,), vector_widths=(1,),
-                          col_splits=(1,))
+    space = make_space(A10, thread_counts=(64,), vector_widths=(1,),
+                       col_splits=(1,))
     result = space.reduction_candidates(4096, 64)
     assert any(s.name == "row_tile_t64v1" for s in result.candidates)
 
 
 def test_prune_counts_cover_declared_rules_only():
-    space = StrategySpace(A10)
+    space = make_space(A10)
     result = space.reduction_candidates(512, 2048)
     assert set(result.pruned) == set(PRUNE_RULES)
 
@@ -199,7 +207,7 @@ def test_prune_counts_cover_declared_rules_only():
 @pytest.mark.parametrize("rows,cols", [(1, 1), (3, 5), (64, 1024),
                                        (4096, 64), (17, 4096)])
 def test_survivor_order_is_generics_first(rows, cols):
-    result = StrategySpace(A10).reduction_candidates(rows, cols)
+    result = make_space(A10).reduction_candidates(rows, cols)
     seen_tuned = False
     for sched in result.candidates:
         if sched.tuned:
