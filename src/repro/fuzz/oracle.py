@@ -495,11 +495,12 @@ class DifferentialOracle:
     def _check_fleet(self, case: _Case) -> None:
         """Drive a replica fleet through the case with per-replica faults.
 
-        Routing policy and replica count vary with the seed; replica
-        ``r0`` carries a seeded compile-fault schedule (and, every
-        fourth seed, a tuner-fault schedule on top of budgeted tuning)
-        while the other replicas stay clean, and ``r0`` is drained
-        mid-stream.  The invariants: every request resolves OK and
+        Routing policy and replica count vary with the seed, and every
+        odd seed's replicas batch (so faults and the drain also cover
+        batch placement); replica ``r0`` carries a seeded compile-fault
+        schedule (and, every fourth seed, a tuner-fault schedule on top
+        of budgeted tuning) while the other replicas stay clean, and
+        ``r0`` is drained mid-stream.  The invariants: every request resolves OK and
         bit-identical to the direct run, none is lost or double-served
         across the scale-down, and quarantine never leaks off the
         faulted replica.
@@ -512,6 +513,7 @@ class DifferentialOracle:
         fault = _compile_fault(seed)
         options = FleetOptions(
             replicas=2 + seed % 2, policy=policy,
+            batching=BatchingOptions(max_batch_size=4) if seed % 2 else None,
             serving=replace(SERVING_OPTIONS, tuning=(
                 TuningOptions(budget_us=2_000.0) if tune else None)))
         # A cold burst across the fleet, a scale-down mid-stream, then

@@ -364,6 +364,18 @@ class BatchingServingEngine(ServingEngine):
             waiting += len(bucket.members)
         return waiting
 
+    def forming(self, model: str, signature: tuple) -> int:
+        """Members a request of ``signature`` would batch with here: in
+        a queued same-bucket batch with room, else in the open bucket
+        (0 when it would open a new one).  The fleet places batching
+        traffic by this."""
+        key = (model, self._bucketers[model].bucket_key(signature))
+        batch = self._joinable_batch(key)
+        if batch is not None:
+            return len(batch.members)
+        bucket = self._buckets.get(key)
+        return len(bucket.members) if bucket is not None else 0
+
     def _enqueue(self, request: Request) -> None:
         """Admitted requests enter a shape bucket, not the raw queue."""
         bucketer = self._bucketers[request.model]
@@ -387,22 +399,29 @@ class BatchingServingEngine(ServingEngine):
         if len(bucket.members) >= self.max_batch_for(request.model):
             self._flush(bucket)
 
+    def _joinable_batch(self, key: tuple) -> _Batch | None:
+        """The first queued batch of ``key`` that still has room."""
+        for item in self._queue:
+            if isinstance(item, _Batch) and item.key == key and \
+                    len(item.members) < self.max_batch_for(item.model):
+                return item
+        return None
+
     def _join_queued_batch(self, request: Request, key: tuple) -> bool:
         """Absorb ``request`` into a same-bucket batch still waiting in
         the queue, if one has room.  The batch is already behind the
         busy server, so joining adds no latency to anyone — it only
         fills otherwise-padded slots of the coming launch."""
-        for item in self._queue:
-            if isinstance(item, _Batch) and item.key == key and \
-                    len(item.members) < self.max_batch_for(item.model):
-                item.members.append(request)
-                self._member_state[request.id] = ("batch", item)
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        "batch:join", parent=request.span,
-                        bucket=str(key[1]), size=len(item.members))
-                return True
-        return False
+        batch = self._joinable_batch(key)
+        if batch is None:
+            return False
+        batch.members.append(request)
+        self._member_state[request.id] = ("batch", batch)
+        if self.tracer.enabled:
+            self.tracer.event(
+                "batch:join", parent=request.span,
+                bucket=str(key[1]), size=len(batch.members))
+        return True
 
     # -- batch formation ---------------------------------------------------
 

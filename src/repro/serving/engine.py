@@ -455,6 +455,11 @@ class ServingEngine:
         """
         return len(self._queue)
 
+    def forming(self, model: str, signature: tuple) -> int | None:
+        """Members already waiting to batch with a request of
+        ``signature``; None means this engine does not batch."""
+        return None
+
     def _should_shed(self, request: Request) -> bool:
         return self._current is not None and \
             self._waiting() >= self.options.queue_capacity

@@ -14,7 +14,8 @@ path:
   (model, signature) onto the active replica set, which is the fleet
   analogue of the paper's shape-specialization caching: a signature
   class is cheap exactly on the replica whose launch-plan cache already
-  holds it.
+  holds it.  Batching replicas are placed by batch instead: a request
+  joins the replica where its bucket's batch is forming.
 
 Replicas run a three-state lifecycle — ACTIVE → DRAINING → RETIRED.  A
 draining replica takes no new routes but finishes everything already
@@ -37,7 +38,7 @@ oracle are built on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Mapping
 
@@ -109,7 +110,8 @@ class FleetOptions:
     #: "least_outstanding") or a :class:`RoutingPolicy` instance.
     policy: str | RoutingPolicy = "affinity"
     #: affinity only: queue depth at which requests spill off the
-    #: affine replica to the least-loaded one.
+    #: affine replica to the least-loaded one; on batching replicas,
+    #: the depth at which a replica takes no more joins.
     affinity_spill_depth: int = 8
     #: tenant -> (rate_per_s, burst) token-bucket quotas.
     tenant_quotas: Mapping[str, tuple[float, float]] | None = None
@@ -201,6 +203,9 @@ class _Replica:
         entry = self.engine._models.get(model)
         return (entry is not None
                 and entry.engine.peek_plan(signature) is not None)
+
+    def forming(self, model: str, signature: tuple) -> int | None:
+        return self.engine.forming(model, signature)
 
 
 class FleetEngine:
@@ -451,6 +456,7 @@ class FleetEngine:
         active = self.active_replicas()
         decision = self.policy.choose(model, signature, active)
         replica = next(r for r in active if r.name == decision.replica)
+        decision = replace(decision, warm=replica.warm(model, signature))
         self._account_route(decision)
         depths = tuple((r.name, r.waiting()) for r in active)
         self._record(("route", now, seq, tenant, model,

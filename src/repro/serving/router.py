@@ -18,6 +18,11 @@ Three policies ship (see internals.md §15):
   cache.  When the affine replica's queue is deeper than
   ``spill_depth``, the request spills to the least-loaded replica
   (freshness is worth less than a queue's worth of waiting).
+  Batching replicas batch buckets, not signatures, so there the policy
+  places by batch instead: a request joins the replica where the most
+  members of its bucket are already forming (unless that replica waits
+  ``spill_depth`` deep), and a request that opens a new batch goes to
+  the least-outstanding replica holding its plan.
 - **round robin** — the classic baseline: rotate over active replicas,
   blind to caches and load.
 - **least outstanding** — route to the replica with the fewest
@@ -57,6 +62,8 @@ class ReplicaView(Protocol):
     def waiting(self) -> int: ...        # queued, not yet in service
     def outstanding(self) -> int: ...    # submitted, not yet responded
     def warm(self, model: str, signature: tuple) -> bool: ...
+    #: members the request would batch with (None: does not batch).
+    def forming(self, model: str, signature: tuple) -> int | None: ...
 
 
 @dataclass(frozen=True)
@@ -65,12 +72,15 @@ class RouteDecision:
 
     replica: str
     policy: str
-    #: the replica rendezvous hashing picked first (affinity only).
+    #: affinity only: the replica rendezvous hashing picked first, or,
+    #: on batching replicas, the one where the request's batch was
+    #: forming (None when it opened a new batch).
     affine: str | None = None
     #: True when the affine replica was over ``spill_depth`` and the
-    #: request went to the least-loaded replica instead.
+    #: request went elsewhere instead.
     spilled: bool = False
-    #: True when the chosen replica already held the signature's plan.
+    #: True when the chosen replica already held the signature's plan
+    #: (filled in by the fleet, whatever the policy).
     warm: bool = False
 
 
@@ -103,8 +113,7 @@ class RoundRobinPolicy(RoutingPolicy):
         self._next[model] = turn + 1
         ordered = sorted(replicas, key=lambda r: r.uid)
         replica = ordered[turn % len(ordered)]
-        return RouteDecision(replica=replica.name, policy=self.name,
-                             warm=replica.warm(model, signature))
+        return RouteDecision(replica=replica.name, policy=self.name)
 
 
 class LeastOutstandingPolicy(RoutingPolicy):
@@ -115,12 +124,20 @@ class LeastOutstandingPolicy(RoutingPolicy):
     def choose(self, model: str, signature: tuple,
                replicas: Sequence[ReplicaView]) -> RouteDecision:
         replica = _least_outstanding(replicas)
-        return RouteDecision(replica=replica.name, policy=self.name,
-                             warm=replica.warm(model, signature))
+        return RouteDecision(replica=replica.name, policy=self.name)
 
 
 class SignatureAffinityPolicy(RoutingPolicy):
-    """Rendezvous-hash signatures to replicas; spill when overloaded."""
+    """Rendezvous-hash signatures to replicas; spill when overloaded.
+
+    On batching replicas a request is placed by its batch instead: it
+    joins the replica with the most members of its bucket forming whose
+    ``waiting()`` is below ``spill_depth`` (ties to the lowest uid);
+    otherwise it opens a batch on the least-outstanding replica that
+    holds its plan, or of all replicas when none does.  Every replica
+    holds every plan the fleet froze, so hashing there would only split
+    buckets across replicas and serve their members solo.
+    """
 
     name = "affinity"
 
@@ -141,16 +158,40 @@ class SignatureAffinityPolicy(RoutingPolicy):
 
     def choose(self, model: str, signature: tuple,
                replicas: Sequence[ReplicaView]) -> RouteDecision:
+        forming = [(r.forming(model, signature), r) for r in replicas]
+        if all(count is not None for count, _ in forming):
+            return self._place_batch(model, signature, replicas, forming)
         affine = self.affine_replica(model, signature, replicas)
         if len(replicas) > 1 and affine.waiting() >= self.spill_depth:
             spill = _least_outstanding(
                 [r for r in replicas if r is not affine])
             return RouteDecision(
                 replica=spill.name, policy=self.name, affine=affine.name,
-                spilled=True, warm=spill.warm(model, signature))
+                spilled=True)
         return RouteDecision(
-            replica=affine.name, policy=self.name, affine=affine.name,
-            warm=affine.warm(model, signature))
+            replica=affine.name, policy=self.name, affine=affine.name)
+
+    def _place_batch(self, model: str, signature: tuple,
+                     replicas: Sequence[ReplicaView],
+                     forming: list) -> RouteDecision:
+        forming = [(count, r) for count, r in forming if count]
+        joinable = [(count, r) for count, r in forming
+                    if r.waiting() < self.spill_depth]
+        if joinable:
+            home = _most_forming(joinable)
+            return RouteDecision(replica=home.name, policy=self.name,
+                                 affine=home.name)
+        warm = [r for r in replicas if r.warm(model, signature)]
+        target = _least_outstanding(warm or replicas)
+        affine = _most_forming(forming).name if forming else None
+        return RouteDecision(
+            replica=target.name, policy=self.name, affine=affine,
+            spilled=affine is not None and affine != target.name)
+
+
+def _most_forming(forming: list) -> ReplicaView:
+    """The replica with the most members forming; ties to lowest uid."""
+    return max(forming, key=lambda item: (item[0], -item[1].uid))[1]
 
 
 POLICIES = {

@@ -4,8 +4,9 @@ Exact virtual-time tests throughout — every assertion is on precise
 counters, replica names, and transcript events, never on "roughly".
 The closing section mirrors the PR 4/6 determinism suites: one mixed
 cluster scenario (simultaneous arrivals, per-replica compile faults, a
-mid-stream drain) runs under 50 seeds; each seed must uphold every
-fleet invariant and same-seed runs must replay the exact transcript.
+mid-stream drain) runs under 50 seeds, on plain and on batching
+replicas; each seed must uphold every fleet invariant and same-seed
+runs must replay the exact transcript.
 """
 
 import numpy as np
@@ -285,9 +286,11 @@ def test_p99_breach_triggers_scale_up(toy_exe, inputs_a):
 # -- memory budget ----------------------------------------------------------
 
 
-def budget_for(executable, replicas: int, slack: float = 0.5):
-    """A budget admitting exactly ``replicas`` copies of the model."""
-    footprint = executable.symbolic_plan.footprint_hi_bytes(1)
+def budget_for(executable, replicas: int, slack: float = 0.5,
+               batch: int = 1):
+    """A budget admitting exactly ``replicas`` copies of the model, each
+    reserving room for a ``batch``-member launch."""
+    footprint = executable.symbolic_plan.footprint_hi_bytes(batch)
     return MemoryBudget(int(footprint * (replicas + slack)))
 
 
@@ -568,6 +571,109 @@ def test_every_replica_kind_receives_its_tuner_faults(toy_exe, inputs_a,
         ("mlp", ticket.request.signature)}
 
 
+# -- batch placement ---------------------------------------------------------
+
+
+def home(fleet, payload):
+    """The replica rendezvous hashing picks for ``payload``'s signature."""
+    program = fleet.replicas()[0].engine.model("mlp").engine.host_program
+    return fleet.policy.affine_replica("mlp", program.signature(payload),
+                                       fleet.active_replicas()).name
+
+
+def route_decisions(fleet):
+    """(replica, affine, spilled, warm) of every route event, in order."""
+    return [(e[6], e[8], e[9], e[10]) for e in fleet.events
+            if e[0] == "route"]
+
+
+def batching_fleet(exe, **fleet_overrides):
+    """A cold 2-replica batching fleet (batches of up to 4)."""
+    options = {"replicas": 2, "batching": BatchingOptions(max_batch_size=4)}
+    options.update(fleet_overrides)
+    return make_fleet(exe, fleet=options)
+
+
+def test_a_request_joins_the_replica_where_its_bucket_is_open(toy_exe):
+    scheduler, fleet, __ = prewarmed_fleet(toy_exe)
+    rng = np.random.default_rng(21)
+    first, second = toy_mlp_inputs(rng, 3, 5), toy_mlp_inputs(rng, 4, 7)
+    # One bucket, two signatures whose rendezvous homes differ.
+    assert (home(fleet, first), home(fleet, second)) == ("r0", "r1")
+    tickets = [fleet.submit("mlp", first), fleet.submit("mlp", second)]
+    scheduler.run_until_idle()
+    # Every replica is warm, so the first request opens its batch on the
+    # least-outstanding one; the second joins it there.
+    assert route_decisions(fleet) == [("r0", None, False, True),
+                                      ("r0", "r0", False, True)]
+    assert [t.response.path for t in tickets] == ["batched"] * 2
+    assert fleet.counters["affinity_hits"] == 1
+
+
+def test_a_new_batch_opens_on_the_least_outstanding_warm_replica(toy_exe):
+    scheduler, fleet = batching_fleet(toy_exe)
+    payload = toy_mlp_inputs(np.random.default_rng(22), 3, 5)
+    assert home(fleet, payload) == "r0"
+    fleet.replica("r1").engine.model("mlp").engine.prepare(payload)
+    ticket = fleet.submit("mlp", payload)
+    scheduler.run_until_idle()
+    # r0 is as idle and has the lower uid, but only r1 holds the plan.
+    assert route_decisions(fleet) == [("r1", None, False, True)]
+    assert ticket.response.path == "fast"
+
+
+def test_a_cold_new_batch_opens_on_the_least_outstanding_replica(toy_exe):
+    scheduler, fleet = batching_fleet(toy_exe)
+    rng = np.random.default_rng(23)
+    busy, cold = toy_mlp_inputs(rng, 2, 2), toy_mlp_inputs(rng, 3, 5)
+    assert home(fleet, busy) == home(fleet, cold) == "r0"
+    tickets = [fleet.submit("mlp", busy), fleet.submit("mlp", cold)]
+    scheduler.run_until_idle()
+    # Different buckets, no plan anywhere: the second request opens its
+    # batch on r1, which has nothing outstanding, not on its home r0.
+    assert route_decisions(fleet) == [("r0", None, False, False),
+                                      ("r1", None, False, False)]
+    assert all(t.response.ok for t in tickets)
+
+
+def test_a_forming_replica_at_spill_depth_takes_no_join(toy_exe):
+    scheduler, fleet = batching_fleet(
+        toy_exe, affinity_spill_depth=2,
+        batching=BatchingOptions(max_batch_size=8))
+    payload = toy_mlp_inputs(np.random.default_rng(24), 4, 7)
+    assert home(fleet, payload) == "r1"
+    tickets = [fleet.submit("mlp", payload) for _ in range(3)]
+    assert fleet.replica("r0").waiting() == 2
+    scheduler.run_until_idle()
+    # r0 holds two forming members, as deep as the spill depth: the
+    # third request opens a batch on r1 and records the spill.
+    assert route_decisions(fleet) == [("r0", None, False, False),
+                                      ("r0", "r0", False, False),
+                                      ("r1", "r0", True, False)]
+    assert fleet.counters["affinity_spills"] == 1
+    assert all(t.response.ok for t in tickets)
+
+
+def test_batches_placed_across_homes_answer_bit_identically(toy_exe):
+    scheduler, fleet, __ = prewarmed_fleet(toy_exe)
+    rng = np.random.default_rng(25)
+    # Distinct payloads per member, so a member answered with another
+    # member's rows is a bit mismatch.
+    shapes = [(3, 5), (4, 7), (3, 5), (2, 2), (1, 9), (2, 2), (1, 9)]
+    payloads = [toy_mlp_inputs(rng, b, s) for b, s in shapes]
+    assert {home(fleet, p) for p in payloads[:3]} == {"r0", "r1"}
+    tickets = [fleet.submit("mlp", p) for p in payloads]
+    scheduler.run_until_idle()
+    direct = ExecutionEngine(toy_exe, A10)
+    for ticket, payload in zip(tickets, payloads):
+        assert ticket.response.ok
+        assert bit_identical(direct.run(payload)[0],
+                             ticket.response.outputs)
+    # Each bucket's members batched on one replica, none served solo.
+    assert [t.response.path for t in tickets] == ["batched"] * 7
+    assert fleet.counters["affinity_spills"] == 0
+
+
 # -- observability ---------------------------------------------------------
 
 
@@ -615,7 +721,17 @@ def expected_by_shape(toy_exe, inputs_by_shape):
             for shape, inputs in inputs_by_shape.items()}
 
 
-def fleet_sim(exe, seed):
+def with_batching(seeds):
+    """Each seed twice: plain replicas (id ``<seed>``) and batching
+    replicas (id ``<seed>-batching``)."""
+    return [pytest.param(seed, batching, id=f"{seed}{suffix}")
+            for seed in seeds
+            for batching, suffix in ((None, ""),
+                                     (BatchingOptions(max_batch_size=4),
+                                      "-batching"))]
+
+
+def fleet_sim(exe, seed, batching=None):
     def faults(sim_seed):
         # Replica r0 carries the fault schedule; the rest stay clean.
         return lambda uid: (
@@ -628,11 +744,12 @@ def fleet_sim(exe, seed):
     budget = None
     symbolic = exe.symbolic_plan
     if symbolic is not None and symbolic.proven:
-        budget = budget_for(exe, replicas=3)
+        budget = budget_for(exe, replicas=3, batch=(
+            batching.max_batch_size if batching is not None else 1))
     return ClusterSim(
         A10, {"mlp": exe},
         FleetOptions(replicas=3, policy="affinity",
-                     memory_budget=budget,
+                     memory_budget=budget, batching=batching,
                      serving=ServingOptions(compile_cost=FAST_COMPILE,
                                             queue_capacity=16,
                                             compile_backoff_us=2_000.0)),
@@ -657,11 +774,11 @@ def scenario_arrivals(inputs_by_shape):
     return arrivals
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_seed_upholds_all_fleet_invariants(proven_exe, seed,
+@pytest.mark.parametrize("seed, batching", with_batching(SEEDS))
+def test_seed_upholds_all_fleet_invariants(proven_exe, seed, batching,
                                            inputs_by_shape,
                                            expected_by_shape):
-    run = fleet_sim(proven_exe, seed).run(
+    run = fleet_sim(proven_exe, seed, batching).run(
         scenario_arrivals(inputs_by_shape),
         drains=[(50_000.0, "r1")])
     tickets = run.tickets
@@ -703,10 +820,10 @@ def test_seed_upholds_all_fleet_invariants(proven_exe, seed,
     assert run.fleet.counters["memory_blocked_scale_ups"] == 0
 
 
-@pytest.mark.parametrize("seed", [0, 17, 43])
-def test_same_seed_replays_the_exact_transcript(proven_exe, seed,
+@pytest.mark.parametrize("seed, batching", with_batching([0, 17, 43]))
+def test_same_seed_replays_the_exact_transcript(proven_exe, seed, batching,
                                                 inputs_by_shape):
-    sim = fleet_sim(proven_exe, seed)
+    sim = fleet_sim(proven_exe, seed, batching)
     arrivals = scenario_arrivals(inputs_by_shape)
     first = sim.run(arrivals, drains=[(50_000.0, "r1")])
     second = sim.run(arrivals, drains=[(50_000.0, "r1")])
