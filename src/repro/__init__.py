@@ -46,10 +46,9 @@ from .frontend import TracedTensor, trace
 from .baselines import DiscExecutor, baseline_names, make_baseline
 from .models import Model, build_model, zoo
 from .workloads import make_trace
-from .serving import (AutoscalerOptions, BatchingOptions,
-                      BatchingServingEngine, ClusterSim, FleetEngine,
-                      FleetOptions, ServingEngine, ServingOptions,
-                      TenantTraffic, VirtualClock, VirtualScheduler)
+from .serving import (BatchingOptions, BatchingServingEngine, ClusterSim,
+                      FleetEngine, FleetOptions, ServingEngine,
+                      ServingOptions, VirtualClock, VirtualScheduler)
 from .tuning import ScheduleTuner, TuningOptions, TuningResult
 
 __version__ = "1.0.0"
@@ -69,9 +68,9 @@ __all__ = [
     "DiscExecutor", "baseline_names", "make_baseline",
     "Model", "build_model", "zoo",
     "make_trace",
-    "AutoscalerOptions", "BatchingOptions", "BatchingServingEngine",
+    "BatchingOptions", "BatchingServingEngine",
     "ClusterSim", "FleetEngine", "FleetOptions",
-    "ServingEngine", "ServingOptions", "TenantTraffic",
+    "ServingEngine", "ServingOptions",
     "VirtualClock", "VirtualScheduler",
     "ScheduleTuner", "TuningOptions", "TuningResult",
     "__version__",

@@ -22,7 +22,7 @@ generates them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -75,7 +75,6 @@ class BaselineSpec:
     bucket: Callable[[int], int] | None = None
     #: run generic graph cleanups (simplify/CSE/DCE) during preparation.
     optimize_graph: bool = True
-    extra: dict = field(default_factory=dict)
 
 
 class SimulatedBaseline(Executor):

@@ -314,7 +314,7 @@ def audit_stock_bucketer(graph, imap: IntervalMap,
     """
     try:
         from ..serving.batching import ShapeBucketer
-        bucketer = ShapeBucketer(graph, graph.params, "bucket")
+        bucketer = ShapeBucketer(graph, graph.params)
     except Exception:  # noqa: BLE001 - not bucketable; nothing to audit
         return
     check_bucket_padding(bucketer, imap, sink)

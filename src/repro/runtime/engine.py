@@ -42,8 +42,11 @@ from .launchplan import (LaunchPlan, LaunchPlanCache, SharedPlans,
                          format_signature)
 from .memory import scale_batched_memory
 
-__all__ = ["EngineOptions", "ExecutionEngine", "LegacyExecutionEngine",
-           "charge_kernel"]
+__all__ = ["DISPATCH_US_PER_KERNEL", "EngineOptions", "ExecutionEngine",
+           "LegacyExecutionEngine", "charge_kernel"]
+
+#: host-side cost of issuing one kernel from compiled host code.
+DISPATCH_US_PER_KERNEL = 0.6
 
 
 @dataclass
@@ -53,8 +56,6 @@ class EngineOptions:
     #: codegen quality relative to a perfectly tuned static kernel; the
     #: paper concedes a small gap versus shape-specialised code.
     base_efficiency: float = 0.95
-    #: host-side cost of issuing one kernel from compiled host code.
-    dispatch_us_per_kernel: float = 0.6
     #: force a single schedule variant everywhere (experiment E9); None
     #: enables the runtime selector.
     fixed_schedule: str | None = None
@@ -149,7 +150,6 @@ class ExecutionEngine:
         #: everything a heuristic freeze reads besides the signature and
         #: the batch: the shared-plan key's prefix.
         self._freeze_key = (device, options.base_efficiency,
-                            options.dispatch_us_per_kernel,
                             options.fixed_schedule,
                             options.host_placement_enabled)
         self.host_program: HostProgram = executable.host_program
@@ -354,7 +354,7 @@ class ExecutionEngine:
             charge_kernel(instr.kernel, dims, stats, forced, options,
                           device, selector, batch=batch or 1)
             launches.append(stats.kernels_launched - before)
-        stats.host_time_us += (options.dispatch_us_per_kernel
+        stats.host_time_us += (DISPATCH_US_PER_KERNEL
                                * stats.kernels_launched)
         memory = self.executable.buffer_plan.evaluate(dims)
         if batch is None:
@@ -481,7 +481,7 @@ class LegacyExecutionEngine:
                 tracer.end(span,
                            launches=stats.kernels_launched - before)
 
-        stats.host_time_us += (options.dispatch_us_per_kernel
+        stats.host_time_us += (DISPATCH_US_PER_KERNEL
                                * stats.kernels_launched)
         stats.details["memory"] = executable.buffer_plan.evaluate(dims)
         results = [env[out.id] for out in executable.outputs]

@@ -16,12 +16,10 @@ This package provides it:
 - :class:`EagerFallback` — serves the compiled host program's outputs
   at the PyTorch baseline's eager cost;
 - :class:`FleetEngine` — N replicas per model behind pluggable routing
-  (signature affinity / round robin / least outstanding), per-tenant
-  token-bucket admission, per-replica compile pools, and
-  metric-driven autoscaling (internals.md §15);
+  (signature affinity / round robin / least outstanding), per-replica
+  compile pools, and drain-then-retire scale-down (internals.md §15);
 - :class:`ClusterSim` — the deterministic cluster-simulation fixture:
-  multi-tenant Poisson traces in, bit-for-bit replayable per-event
-  transcripts out;
+  arrival traces in, bit-for-bit replayable per-event transcripts out;
 - :class:`VirtualScheduler` / :class:`VirtualClock` — the injectable
   time seam that makes every interleaving deterministic and seedable.
 
@@ -32,26 +30,21 @@ deterministic concurrency suite.
 from .batching import (BatchingOptions, BatchingServingEngine,
                        ShapeBucketer)
 from .clock import Clock, SystemClock, VirtualClock
-from .cluster import (Arrival, ClusterRun, ClusterSim, TenantTraffic,
-                      poisson_arrivals)
+from .cluster import Arrival, ClusterRun, ClusterSim
 from .compilepool import (BackgroundCompilePool, CompileState,
                           PermanentCompileError, SignatureCompileCost,
                           TransientCompileError)
 from .engine import (PathRouter, Request, Response, ResponseStatus,
                      ServingEngine, ServingOptions, Ticket)
 from .fallback import EagerFallback
-from .fleet import (AutoscalerOptions, FleetEngine, FleetOptions,
-                    FleetTicket, ReplicaState)
-from .router import (AdmissionController, LeastOutstandingPolicy,
-                     RoundRobinPolicy, RouteDecision, RoutingPolicy,
-                     SignatureAffinityPolicy, TokenBucket, make_policy,
-                     stable_hash)
+from .fleet import FleetEngine, FleetOptions, FleetTicket, ReplicaState
+from .router import (LeastOutstandingPolicy, RoundRobinPolicy,
+                     RouteDecision, RoutingPolicy, SignatureAffinityPolicy,
+                     make_policy, stable_hash)
 from .scheduler import EventHandle, VirtualScheduler
 
 __all__ = [
-    "AdmissionController",
     "Arrival",
-    "AutoscalerOptions",
     "BackgroundCompilePool",
     "BatchingOptions",
     "BatchingServingEngine",
@@ -80,13 +73,10 @@ __all__ = [
     "SignatureAffinityPolicy",
     "SignatureCompileCost",
     "SystemClock",
-    "TenantTraffic",
-    "TokenBucket",
     "Ticket",
     "TransientCompileError",
     "VirtualClock",
     "VirtualScheduler",
     "make_policy",
-    "poisson_arrivals",
     "stable_hash",
 ]

@@ -8,8 +8,7 @@ parameter dims are provably equal (one union-find class per group), so
 
 - **bucketing** — requests whose per-class values round to the same
   power-of-two ceiling share a bucket; requests in different buckets
-  never pad each other.  ``pad_policy="exact"`` degenerates to
-  equal-signatures-only (zero padding, more buckets).
+  never pad each other.
 - **padding** — a bucket's members are padded per *class*, to the
   bucket's ceiling, never per raw dim: dims the store proves equal stay
   equal after padding, so the padded signature still binds.
@@ -50,8 +49,6 @@ from .scheduler import VirtualScheduler
 
 __all__ = ["BatchingOptions", "BatchingServingEngine", "ShapeBucketer"]
 
-PAD_POLICIES = ("exact", "bucket")
-
 
 @dataclass
 class BatchingOptions:
@@ -61,9 +58,6 @@ class BatchingOptions:
     max_batch_size: int = 8
     #: ... or this long after its first member arrived, whichever first.
     max_queue_delay_us: float = 2_000.0
-    #: "bucket": compatible dims pad to the bucket's pow2 ceiling;
-    #: "exact": only identical signatures co-batch, zero padding.
-    pad_policy: str = "bucket"
     #: when set, batch sizes are additionally capped by what the
     #: model's *proven* class-wide peak (``runtime.symplan``) fits into
     #: the budget, and pad ceilings stop exceeding each class's proven
@@ -84,12 +78,7 @@ class ShapeBucketer:
     class constant) take no part in bucketing.
     """
 
-    def __init__(self, graph, params, pad_policy: str = "bucket",
-                 class_caps: tuple | None = None) -> None:
-        if pad_policy not in PAD_POLICIES:
-            raise ValueError(f"unknown pad_policy {pad_policy!r}; "
-                             f"available: {PAD_POLICIES}")
-        self.pad_policy = pad_policy
+    def __init__(self, graph, params, class_caps: tuple | None = None) -> None:
         #: per bucketing slot, an optional proven class maximum (from
         #: ``MemoryBudget.bucket_caps``); ``None`` entries leave the
         #: stock ceiling schedule untouched.  Assignable after
@@ -151,8 +140,6 @@ class ShapeBucketer:
         covers every padding decision the engine can make.  Subclasses
         overriding the schedule inherit the audit for free.
         """
-        if self.pad_policy == "exact":
-            return int(value)
         return round_up_pow2(value)
 
     def class_ceiling(self, slot: int, value: int) -> int:
@@ -189,8 +176,6 @@ class ShapeBucketer:
         """Requests with equal keys co-batch; others never pad each
         other."""
         values = self.class_values(signature)
-        if self.pad_policy == "exact":
-            return values
         return tuple(self.class_ceiling(slot, v)
                      for slot, v in enumerate(values))
 
@@ -202,9 +187,6 @@ class ShapeBucketer:
         converge to one key per batch size instead of one per member
         mix.
         """
-        if self.pad_policy == "exact":
-            return tuple((name, tuple(int(d) for d in shape))
-                         for name, shape in signature)
         padded = self.bucket_key(signature)
         return tuple(
             (name, tuple(entry if isinstance(entry, int)
@@ -291,10 +273,6 @@ class BatchingServingEngine(ServingEngine):
                          tuning_fault=tuning_fault, tracer=tracer,
                          name=name)
         self.batching = batching or BatchingOptions()
-        if self.batching.pad_policy not in PAD_POLICIES:
-            raise ValueError(
-                f"unknown pad_policy {self.batching.pad_policy!r}; "
-                f"available: {PAD_POLICIES}")
         if self.batching.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         self._bucketers: dict[str, ShapeBucketer] = {}
@@ -319,8 +297,7 @@ class BatchingServingEngine(ServingEngine):
                                        fallback=fallback,
                                        shared_plans=shared_plans)
         bucketer = ShapeBucketer(
-            entry.executable.graph, entry.engine.host_program.params,
-            self.batching.pad_policy)
+            entry.executable.graph, entry.engine.host_program.params)
         budget = self.batching.memory_budget
         symbolic = entry.executable.symbolic_plan
         cap: int | None = None

@@ -1,17 +1,17 @@
 """ClusterSim: deterministic whole-cluster simulation for tests and CI.
 
 The fleet's unit of verification is a *transcript*: the exact sequence
-of fleet events (route decisions with queue-depth snapshots, tenant
-sheds, scale events) merged with every response.  ``ClusterSim`` is the
-fixture that produces them — it drives multi-tenant Poisson traces
-through a fresh :class:`~repro.serving.fleet.FleetEngine` on a fresh
-seeded :class:`~repro.serving.scheduler.VirtualScheduler`, so the same
-spec (models, options, arrivals, seed) replays to a bit-identical
-transcript on any machine, any run, any platform.  The determinism
+of fleet events (route decisions with queue-depth snapshots, drains,
+retirements) merged with every response.  ``ClusterSim`` is the fixture
+that produces them — it drives arrival traces through a fresh
+:class:`~repro.serving.fleet.FleetEngine` on a fresh seeded
+:class:`~repro.serving.scheduler.VirtualScheduler`, so the same spec
+(models, options, arrivals, seed) replays to a bit-identical transcript
+on any machine, any run, any platform.  The determinism
 suite and the CI fleet job are built on that contract:
 
     sim = ClusterSim(device, {"mlp": graph}, options, seed=7)
-    arrivals = poisson_arrivals([TenantTraffic(...)], seed=7)
+    arrivals = [Arrival(at_us=..., tenant="t0", model="mlp", inputs=...)]
     first = sim.run(arrivals)
     again = sim.run(arrivals)
     assert first.transcript == again.transcript      # bit-for-bit
@@ -35,8 +35,7 @@ from ..runtime.executable import Executable
 from .fleet import FleetEngine, FleetOptions, FleetTicket
 from .scheduler import VirtualScheduler
 
-__all__ = ["Arrival", "ClusterRun", "ClusterSim", "TenantTraffic",
-           "poisson_arrivals"]
+__all__ = ["Arrival", "ClusterRun", "ClusterSim"]
 
 
 @dataclass(frozen=True)
@@ -51,49 +50,6 @@ class Arrival:
 
 
 @dataclass
-class TenantTraffic:
-    """One tenant's Poisson lane: rate, request count, input pool."""
-
-    tenant: str
-    model: str
-    rate_qps: float
-    num_requests: int
-    #: the inputs pool; each arrival samples one entry uniformly.
-    inputs: Sequence[Mapping[str, np.ndarray]]
-    deadline_us: float | None = None
-
-
-def poisson_arrivals(traffic: Sequence[TenantTraffic],
-                     seed: int = 0) -> list[Arrival]:
-    """Merge per-tenant Poisson processes into one sorted arrival list.
-
-    Each lane draws from its own ``default_rng([seed, lane])`` stream,
-    so adding a tenant never perturbs another tenant's arrivals.  The
-    merge is stable-sorted by (time, tenant), which makes simultaneous
-    arrivals deterministic too.
-    """
-    arrivals: list[Arrival] = []
-    for lane, t in enumerate(traffic):
-        if t.rate_qps <= 0:
-            raise ValueError(f"tenant {t.tenant!r} needs rate_qps > 0")
-        if not t.inputs:
-            raise ValueError(f"tenant {t.tenant!r} has an empty "
-                             "inputs pool")
-        rng = np.random.default_rng([seed, lane])
-        gap_mean_us = 1e6 / t.rate_qps
-        at = 0.0
-        for _ in range(t.num_requests):
-            at += float(rng.exponential(gap_mean_us))
-            index = int(rng.integers(len(t.inputs)))
-            arrivals.append(Arrival(at_us=at, tenant=t.tenant,
-                                    model=t.model,
-                                    inputs=t.inputs[index],
-                                    deadline_us=t.deadline_us))
-    arrivals.sort(key=lambda a: (a.at_us, a.tenant))
-    return arrivals
-
-
-@dataclass
 class ClusterRun:
     """One completed simulation: the fleet, its tickets, its transcript."""
 
@@ -102,10 +58,6 @@ class ClusterRun:
     tickets: list[FleetTicket]
     #: the exact event transcript (see ``FleetEngine.transcript``).
     transcript: tuple = field(repr=False)
-
-    def ok_responses(self) -> list:
-        return [t.response for t in self.tickets
-                if t.response is not None and t.response.ok]
 
 
 class ClusterSim:

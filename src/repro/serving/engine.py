@@ -79,8 +79,6 @@ class ServingOptions:
     #: first retry delay; grows by ``backoff_multiplier`` per attempt.
     compile_backoff_us: float = 50_000.0
     backoff_multiplier: float = 2.0
-    #: deadline applied to requests that don't carry one (None = none).
-    default_deadline_us: float | None = None
     #: False = synchronous-compile baseline (cold signatures stall).
     background_compile: bool = True
     compile_cost: SignatureCompileCost = field(
@@ -403,8 +401,8 @@ class ServingEngine:
                deadline_us: float | None = None) -> Ticket:
         """Admit one request; returns a :class:`Ticket`.
 
-        ``deadline_us`` is relative to now; None falls back to
-        ``options.default_deadline_us``.  Admission control — the shed
+        ``deadline_us`` is relative to now; None means no deadline.
+        Admission control — the shed
         decision and the deadline timer — is strictly per request and
         happens *here*, before the request reaches any queue or batching
         bucket; no later placement step may shed or re-deadline it.
@@ -431,12 +429,11 @@ class ServingEngine:
         """Mint the request + ticket and account the arrival."""
         now = self.scheduler.now_us()
         signature = entry.engine.host_program.signature(inputs)
-        relative = (deadline_us if deadline_us is not None
-                    else self.options.default_deadline_us)
         request = Request(
             id=self._next_id, model=model, inputs=inputs,
             signature=signature, arrival_us=now,
-            deadline_us=now + relative if relative is not None else None)
+            deadline_us=(now + deadline_us if deadline_us is not None
+                         else None))
         self._next_id += 1
         ticket = Ticket(request)
         self._tickets[request.id] = ticket

@@ -1,10 +1,9 @@
-"""Fleet routing policies and per-tenant admission control.
+"""Fleet routing policies.
 
 The fleet splits *placement* from *execution*: a :class:`RoutingPolicy`
-picks which replica serves a request, and an :class:`AdmissionController`
-decides — before any routing — whether the tenant may submit at all.
-Both layers are deterministic functions of their inputs so whole-cluster
-interleavings replay bit-for-bit under the virtual clock.
+picks which replica serves a request.  A policy is a deterministic
+function of its inputs, so whole-cluster interleavings replay
+bit-for-bit under the virtual clock.
 
 Three policies ship (see internals.md §15):
 
@@ -37,14 +36,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from ..runtime.launchplan import format_signature
 
-__all__ = ["AdmissionController", "LeastOutstandingPolicy", "POLICIES",
-           "ReplicaView", "RouteDecision", "RoundRobinPolicy",
-           "RoutingPolicy", "SignatureAffinityPolicy", "TokenBucket",
-           "make_policy", "stable_hash"]
+__all__ = ["LeastOutstandingPolicy", "POLICIES", "ReplicaView",
+           "RouteDecision", "RoundRobinPolicy", "RoutingPolicy",
+           "SignatureAffinityPolicy", "make_policy", "stable_hash"]
 
 
 def stable_hash(text: str) -> int:
@@ -210,63 +208,3 @@ def make_policy(name: str, **kwargs) -> RoutingPolicy:
                          f"available: {sorted(POLICIES)}") from None
     return factory(**kwargs)
 
-
-# -- per-tenant admission --------------------------------------------------
-
-
-class TokenBucket:
-    """A token bucket refilled continuously on the (virtual) clock."""
-
-    __slots__ = ("rate_per_s", "burst", "tokens", "_refilled_us")
-
-    def __init__(self, rate_per_s: float, burst: float) -> None:
-        if rate_per_s <= 0 or burst < 1:
-            raise ValueError("need rate_per_s > 0 and burst >= 1")
-        self.rate_per_s = rate_per_s
-        self.burst = burst
-        self.tokens = float(burst)
-        self._refilled_us = 0.0
-
-    def try_acquire(self, now_us: float) -> bool:
-        """Take one token if available; refills lazily up to burst."""
-        if now_us > self._refilled_us:
-            self.tokens = min(
-                self.burst,
-                self.tokens
-                + (now_us - self._refilled_us) * self.rate_per_s / 1e6)
-            self._refilled_us = now_us
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return True
-        return False
-
-
-class AdmissionController:
-    """Per-tenant token-bucket quotas; exhaustion sheds the request.
-
-    ``quotas`` maps tenant name to ``(rate_per_s, burst)``.
-    ``default_quota`` applies to tenants without an explicit quota
-    (None = unmetered).  The SHED happens at the fleet edge, before
-    routing, so an abusive tenant cannot fill any replica's queue.
-    """
-
-    def __init__(self,
-                 quotas: Mapping[str, tuple[float, float]] | None = None,
-                 default_quota: tuple[float, float] | None = None) -> None:
-        self._buckets: dict[str, TokenBucket] = {
-            tenant: TokenBucket(*quota)
-            for tenant, quota in (quotas or {}).items()}
-        self._default_quota = default_quota
-        self.admitted: dict[str, int] = {}
-        self.shed: dict[str, int] = {}
-
-    def admit(self, tenant: str, now_us: float) -> bool:
-        bucket = self._buckets.get(tenant)
-        if bucket is None and self._default_quota is not None:
-            bucket = TokenBucket(*self._default_quota)
-            self._buckets[tenant] = bucket
-        if bucket is None or bucket.try_acquire(now_us):
-            self.admitted[tenant] = self.admitted.get(tenant, 0) + 1
-            return True
-        self.shed[tenant] = self.shed.get(tenant, 0) + 1
-        return False

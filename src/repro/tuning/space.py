@@ -46,7 +46,13 @@ from ..core.codegen.schedules import (ELEMENTWISE_SCHEDULES,
                                       elementwise_vec, row_tile)
 from ..device.profiles import DeviceProfile
 
-__all__ = ["PRUNE_RULES", "SpaceResult", "StrategySpace"]
+__all__ = ["COL_SPLITS", "PRUNE_RULES", "SpaceResult", "StrategySpace",
+           "THREAD_COUNTS", "VECTOR_WIDTHS"]
+
+#: the grid bounds the tuner searches.
+THREAD_COUNTS = (32, 64, 128, 256, 512, 1024)
+VECTOR_WIDTHS = (1, 2, 4, 8)
+COL_SPLITS = (1, 2, 4, 8, 16, 32)
 
 #: every rule a candidate can be pruned under, in application order.
 PRUNE_RULES = ("threads", "vector_bytes", "smem", "misaligned",
@@ -83,7 +89,8 @@ class StrategySpace:
     """The tuned-variant grid for one device, plus its pruning rules.
 
     ``thread_counts`` / ``vector_widths`` / ``col_splits`` bound the
-    grid (``TuningOptions`` holds their defaults); widths outside the
+    grid (the tuner passes :data:`THREAD_COUNTS`, :data:`VECTOR_WIDTHS`
+    and :data:`COL_SPLITS`); widths outside the
     families the codegen can actually emit
     (:data:`EW_VECTOR_WIDTHS`, :data:`ROW_TILE_VECTOR_WIDTHS`) are
     dropped at construction — they are not grid points at all, so they

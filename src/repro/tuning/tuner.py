@@ -41,7 +41,8 @@ from ..device.cost import kernel_time_us, occupancy
 from ..device.profiles import DeviceProfile
 from ..ir.shapes import SymDim
 from ..obs.tracer import resolve_tracer
-from .space import PRUNE_RULES, StrategySpace
+from .space import (COL_SPLITS, PRUNE_RULES, THREAD_COUNTS, VECTOR_WIDTHS,
+                    StrategySpace)
 
 __all__ = ["KernelTuning", "ScheduleTuner", "TunedSelector",
            "TuningOptions", "TuningResult", "WorstCaseSelector",
@@ -50,13 +51,10 @@ __all__ = ["KernelTuning", "ScheduleTuner", "TunedSelector",
 
 @dataclass
 class TuningOptions:
-    """Search knobs: budget plus the strategy-space grid bounds."""
+    """Search knobs: the budget and the scoring efficiency."""
 
     #: simulated-microsecond ceiling on one signature's search.
     budget_us: float = 250_000.0
-    thread_counts: tuple = (32, 64, 128, 256, 512, 1024)
-    vector_widths: tuple = (1, 2, 4, 8)
-    col_splits: tuple = (1, 2, 4, 8, 16, 32)
     #: codegen-quality factor candidates are scored under; matches
     #: ``EngineOptions.base_efficiency`` so scores equal charged times.
     base_efficiency: float = 0.95
@@ -261,10 +259,8 @@ class ScheduleTuner:
         self.device = device
         self.options = options or TuningOptions()
         self.tracer = resolve_tracer(tracer)
-        self.space = StrategySpace(device,
-                                   self.options.thread_counts,
-                                   self.options.vector_widths,
-                                   self.options.col_splits)
+        self.space = StrategySpace(device, THREAD_COUNTS, VECTOR_WIDTHS,
+                                   COL_SPLITS)
 
     # -- entry points ------------------------------------------------------
 

@@ -178,10 +178,9 @@ def test_stock_bucketer_is_sound_and_frugal():
     for bounds in ((1, 12), (1, 8), (3, 4096), (None, None)):
         assume = {"s": bounds} if bounds[0] is not None else None
         imap = derive_intervals(graph, assume_ranges=assume)
-        for policy in ("bucket", "exact"):
-            bucketer = ShapeBucketer(graph, graph.params, policy)
-            assert not check_bucket_padding(bucketer, imap), \
-                f"stock {policy} bucketer flagged at bounds {bounds}"
+        bucketer = ShapeBucketer(graph, graph.params)
+        assert not check_bucket_padding(bucketer, imap), \
+            f"stock bucketer flagged at bounds {bounds}"
 
 
 # -- L605: possible zero/negative extents ------------------------------------

@@ -7,6 +7,8 @@ from repro.core import CompileOptions, compile_graph
 from repro.device import A10, T4
 from repro.interp import evaluate
 from repro.runtime import EngineOptions, ExecutionEngine
+from repro.runtime import engine as engine_module
+from repro.runtime.engine import DISPATCH_US_PER_KERNEL
 
 from ..conftest import softmax_graph, toy_mlp_graph, toy_mlp_inputs
 
@@ -89,16 +91,17 @@ def test_selector_not_worse_than_worst_fixed(rng):
     assert selected.device_time_us <= max(fixed) + 1e-9
 
 
-def test_dispatch_overhead_scales_with_kernels(toy_executable, rng):
+def test_dispatch_overhead_scales_with_kernels(toy_executable, rng,
+                                              monkeypatch):
     __, exe = toy_executable
     inputs = toy_mlp_inputs(rng, 2, 4)
-    cheap = ExecutionEngine(exe, A10, EngineOptions(
-        dispatch_us_per_kernel=0.0))
-    costly = ExecutionEngine(exe, A10, EngineOptions(
-        dispatch_us_per_kernel=10.0))
-    __, s1 = cheap.run(inputs)
-    __, s2 = costly.run(inputs)
-    assert s2.host_time_us > s1.host_time_us
+    __, s1 = ExecutionEngine(exe, A10).run(inputs)
+    monkeypatch.setattr(engine_module, "DISPATCH_US_PER_KERNEL", 10.0)
+    __, s2 = ExecutionEngine(exe, A10).run(inputs)
+    assert s1.kernels_launched > 0
+    assert s2.host_time_us == pytest.approx(
+        s1.host_time_us + (10.0 - DISPATCH_US_PER_KERNEL)
+        * s1.kernels_launched)
     assert s2.device_time_us == pytest.approx(s1.device_time_us)
 
 

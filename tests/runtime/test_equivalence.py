@@ -66,7 +66,7 @@ def test_toy_mlp_across_shapes_and_devices(rng):
     EngineOptions(fixed_schedule="two_pass"),
     EngineOptions(fixed_schedule="row_per_block"),
     EngineOptions(host_placement_enabled=False),
-    EngineOptions(base_efficiency=0.5, dispatch_us_per_kernel=7.0),
+    EngineOptions(base_efficiency=0.5),
 ], ids=["two_pass", "row_per_block", "no_host_placement", "retuned"])
 def test_ablations_stay_equivalent(options, rng):
     exe = compile_graph(softmax_graph().graph)

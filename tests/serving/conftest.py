@@ -62,7 +62,7 @@ def make_fleet(exe, seed=0, compile_fault_factory=None, tracer=None,
     """A (scheduler, fleet) pair with the toy model registered.
 
     ``fleet`` holds :class:`FleetOptions` field overrides (replicas,
-    policy, quotas, autoscaler, ...); the remaining keyword arguments
+    policy, batching, memory budget, ...); the remaining keyword arguments
     configure the per-replica :class:`ServingOptions`.
     """
     serving_overrides.setdefault("compile_cost", FAST_COMPILE)

@@ -76,26 +76,6 @@ def test_compatible_signatures_share_a_bucket_key(toy_exe,
         bucketer.padding_waste(sig[(3, 5)])
 
 
-def test_exact_policy_only_batches_equal_signatures(toy_exe,
-                                                    inputs_by_shape):
-    _, serving = make_batching(toy_exe,
-                               batching=options(pad_policy="exact"))
-    program = serving.model("mlp").engine.host_program
-    bucketer = serving.bucketer("mlp")
-    sig = {shape: program.signature(inputs)
-           for shape, inputs in inputs_by_shape.items()}
-    assert bucketer.bucket_key(sig[(3, 5)]) != \
-        bucketer.bucket_key(sig[(4, 7)])
-    for signature in sig.values():
-        assert bucketer.padded_signature(signature) == signature
-        assert bucketer.padding_waste(signature) == 0.0
-
-
-def test_unknown_pad_policy_is_rejected(toy_exe):
-    with pytest.raises(ValueError, match="pad_policy"):
-        make_batching(toy_exe, batching=options(pad_policy="global"))
-
-
 # ---------------------------------------------------------------------------
 # batch formation: exact flush and completion times
 # ---------------------------------------------------------------------------

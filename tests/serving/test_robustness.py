@@ -45,14 +45,6 @@ def test_deadline_expiry_while_queued(toy_exe, rng):
     assert third.response.ok
 
 
-def test_default_deadline_applies(toy_exe, rng):
-    scheduler, serving = make_serving(toy_exe, seed=2,
-                                      default_deadline_us=10.0)
-    ticket = serving.submit("mlp", toy_mlp_inputs(rng, 3, 5))
-    scheduler.run_until_idle()
-    assert ticket.response.status is ResponseStatus.TIMEOUT
-
-
 def test_completed_request_cancels_its_deadline_timer(toy_exe, rng):
     scheduler, serving = make_serving(toy_exe, seed=2)
     ticket = serving.submit("mlp", toy_mlp_inputs(rng, 3, 5),

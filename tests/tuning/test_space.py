@@ -15,15 +15,15 @@ import pytest
 from repro.core.codegen.schedules import (ELEMENTWISE_SCHEDULES,
                                           REDUCTION_SCHEDULES)
 from repro.device import A10
-from repro.tuning import PRUNE_RULES, StrategySpace, TuningOptions
+from repro.tuning import PRUNE_RULES, StrategySpace
+from repro.tuning.space import COL_SPLITS, THREAD_COUNTS, VECTOR_WIDTHS
 
 
-def make_space(device, **grids):
-    """A space over ``TuningOptions``' default grids, as the tuner
-    builds it, with ``grids`` overriding some of them."""
-    options = dataclasses.replace(TuningOptions(), **grids)
-    return StrategySpace(device, options.thread_counts,
-                         options.vector_widths, options.col_splits)
+def make_space(device, thread_counts=THREAD_COUNTS,
+               vector_widths=VECTOR_WIDTHS, col_splits=COL_SPLITS):
+    """A space over the tuner's grids, as the tuner builds it, with
+    some of them overridden."""
+    return StrategySpace(device, thread_counts, vector_widths, col_splits)
 
 
 def names(result):
