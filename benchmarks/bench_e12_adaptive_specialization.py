@@ -3,12 +3,12 @@
 BladeDISC compiles one shape-generic executable and specialises each
 kernel's *schedule* per shape at run time.  Here the Zipf batch-1 BERT
 trace is served three ways: a generic engine on heuristic schedules, the
-serving pool with the schedule tuner (cold signatures answer on the eager
-fallback while a background job freezes the tuner's measured winners into
-the launch plan), and an XLA-style per-shape JIT.  Claims: no request
-stalls on a compile, every fast-path response is at most as slow as the
-generic engine on the same request, and the end-to-end total per query is
-below the JIT's.
+serving pool with the schedule tuner on DISC's compile-once path (a cold
+signature runs its shape-generic plan at once, while a background job
+freezes the tuner's measured winners into the launch plan), and an
+XLA-style per-shape JIT.  Claims: no request stalls on a compile, every
+fast-path response is at most as slow as the generic engine on the same
+request, and the end-to-end total per query is below the JIT's.
 
 Runnable directly (used by CI; the full run takes seconds)::
 

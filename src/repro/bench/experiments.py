@@ -930,15 +930,15 @@ def e12_adaptive_specialization(device_name: str = "A10",
     skewed trace.
 
     A Zipf trace concentrates traffic on a few hot shapes.  The serving
-    pool answers cold signatures on the eager fallback while a
-    background job compiles each signature's plan and freezes the
-    schedule tuner's measured winners into it; repeats replay that
-    tuned plan.  The claims: no request stalls on a compile, a tuned
-    response is never slower than the generic engine on the same
-    request, and end-to-end totals sit far below the JIT's.
+    pool compiles once, DISC's path: a cold signature runs on the
+    shape-generic executable at once, freezing its heuristic plan, while
+    a background job searches its schedules and freezes the tuner's
+    measured winners into the plan; repeats replay that tuned plan.
+    The claims: no request stalls on a compile, a tuned response is
+    never slower than the generic engine on the same request, and
+    end-to-end totals sit far below the JIT's.
     """
-    from ..serving import (ServingEngine, ServingOptions,
-                           SignatureCompileCost, VirtualScheduler)
+    from ..serving import ServingEngine, ServingOptions, VirtualScheduler
     from ..tuning import TuningOptions
 
     device = device_named(device_name)
@@ -957,22 +957,17 @@ def e12_adaptive_specialization(device_name: str = "A10",
     for stats in generic_stats:
         generic_timeline.record(stats)
 
-    # The arrival rate must be low enough that repeat signatures reach
-    # the fast path within 40 queries.  Each signature's background job
-    # (E16's compile cost plus the tuner's bounded search) takes about
-    # 360 ms on two pool workers.  At 100 qps the first jobs finish
-    # before their signatures' repeats arrive (3 of 67 signatures in the
-    # full run, the hottest ones); the backlog of later jobs (67 x 360 ms
-    # over two workers) caps the fast-path share at 24 of the 150 queries.
+    # Every response takes the fast path; the arrival rate decides how
+    # many repeats find their tuned plan.  Each signature's background
+    # job is the tuner's bounded search (250 ms) on two pool workers,
+    # so at 100 qps only the earliest, hottest signatures are tuned
+    # before their repeats arrive.
     arrival_rate_qps = 100.0
-    compile_cost = SignatureCompileCost(fixed_us=40_000.0,
-                                        per_kernel_us=800.0)
     arrivals = _poisson_arrivals(arrival_rate_qps, len(inputs), seed + 1)
     scheduler = VirtualScheduler(seed=seed + 2)
     serving = ServingEngine(
         device, scheduler,
         ServingOptions(queue_capacity=len(inputs),
-                       compile_cost=compile_cost,
                        tuning=TuningOptions()))
     entry = serving.register_model(model_name, executable)
     tickets = _submit_at(scheduler, serving.submit, model_name, inputs,
@@ -1017,7 +1012,7 @@ def e12_adaptive_specialization(device_name: str = "A10",
 
 def format_adaptive_specialization(result: dict) -> str:
     headers = ["engine", "steady us/query", "stall compiles",
-               "bg compiles", "total us/query"]
+               "bg jobs", "total us/query"]
     rows = [[r["engine"], r["mean_steady_us"], r["stall_compiles"],
              r["background_compiles"], r["total_us_per_query"]]
             for r in result["rows"]]
@@ -1031,7 +1026,7 @@ def format_adaptive_specialization(result: dict) -> str:
         f"{result['model']} ({result['num_queries']} queries, "
         f"{result['distinct_shapes']} distinct shapes, "
         f"{result['arrival_rate_qps']:.0f} qps, "
-        f"{result['job_us'] / 1e3:.0f} ms per compile + tuning job)") + (
+        f"{result['job_us'] / 1e3:.0f} ms per tuning job)") + (
         f"\nserving pool paths: {paths}; {result['tuned_served']} served "
         f"on tuned plans; fast path {result['fast_mean_steady_us']:.1f} us "
         f"vs generic {result['fast_generic_mean_us']:.1f} us on the same "

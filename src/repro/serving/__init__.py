@@ -7,12 +7,14 @@ This package provides it:
 
 - :class:`ServingEngine` — request intake, admission control, deadline
   timers, and per-request path selection (warm launch-plan replay /
-  eager fallback / synchronous-compile baseline);
+  compile-once cold record, the default / the per-shape-JIT baseline's
+  eager fallback and synchronous compile);
 - :class:`BatchingServingEngine` — dynamic batching over
   constraint-compatible shape buckets (pad within a bucket, never
   across; one batched launch plan per bucket; bit-identical unbatching);
 - :class:`BackgroundCompilePool` — deduplicated, coalescing, bounded
-  background compilation with retry-backoff and quarantine;
+  background jobs (tuning; per-shape compiles under the baseline) with
+  retry-backoff and quarantine;
 - :class:`EagerFallback` — serves the compiled host program's outputs
   at the PyTorch baseline's eager cost;
 - :class:`FleetEngine` — N replicas per model behind pluggable routing

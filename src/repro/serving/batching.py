@@ -465,7 +465,8 @@ class BatchingServingEngine(ServingEngine):
         plan = entry.engine.peek_batched(item.padded, batch_size)
         if plan is None:
             # Background-compile the batched plan (a no-op once the pool
-            # has quarantined it) and serve the members solo meanwhile.
+            # has quarantined it; a zero-duration freeze under
+            # compile-once) and serve the members solo meanwhile.
             def install(attempt: int) -> None:
                 entry.engine.prepare_batched(item.padded, batch_size)
 
@@ -493,8 +494,8 @@ class BatchingServingEngine(ServingEngine):
 
         No member ever waits on a batched compile — the batch unrolls to
         the front of the queue and each request takes its usual solo
-        path (fast if its plan is warm, the eager fallback
-        otherwise).
+        path (fast if its plan is warm or the engine compiles once, the
+        eager fallback otherwise).
         """
         self.counters["batches_exploded"] += 1
         if self.tracer.enabled:

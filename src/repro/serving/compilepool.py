@@ -1,11 +1,15 @@
-"""Background compilation pool with dedup, retry and quarantine.
+"""Background job pool with dedup, retry and quarantine.
 
-Compilation in the serving runtime is asynchronous: the first request of
-a cold ``(model, signature)`` submits a compile job and is answered on
-the eager fallback; when the job completes it installs the launch
+Under compile-once (``ServingOptions.compile_cost=None``, DISC's path) a
+cold ``(model, signature)`` never waits for the pool: its first run
+freezes the shape-generic executable's plan inline, and the pool runs
+only the schedule tuner's jobs, which upgrade that plan in place.  Under
+the per-shape-JIT baseline (an explicit :class:`SignatureCompileCost`)
+the first request of a cold key submits a compile job and is answered
+on the eager fallback; when the job completes it installs the launch
 plan into the engine's :class:`LaunchPlanCache` and later requests take
-the fast path.  The pool provides the robustness half of that story, and
-it is the only owner of a key's compile state — every serving path asks
+the fast path.  The pool provides the robustness half of either story,
+and it is the only owner of a key's job state — every serving path asks
 it whether a key compiles, retries or is quarantined:
 
 - **dedup / in-flight coalescing** — one job per key, ever; concurrent
@@ -17,10 +21,11 @@ it whether a key compiles, retries or is quarantined:
 - **retry with exponential backoff** — :class:`TransientCompileError`
   re-queues the job after ``backoff_us * multiplier**attempt``;
 - **quarantine** — :class:`PermanentCompileError`, any other exception,
-  or exhausting the retry budget, pins the key to the fallback path
-  *forever*: the pool refuses further submissions for it and the engine
-  stops trying.  Compile errors degrade service; they never surface to
-  a request.
+  or exhausting the retry budget, ends the key's jobs *forever*: the
+  pool refuses further submissions for it and the engine stops trying.
+  Under the per-shape JIT that pins the signature to the fallback path;
+  under compile-once it only forgoes tuning.  Compile errors degrade
+  service; they never surface to a request.
 
 :meth:`BackgroundCompilePool.compile_now` applies the same retry and
 quarantine rules inline, for the synchronous-compile baseline.
@@ -56,10 +61,12 @@ class PermanentCompileError(RuntimeError):
 class SignatureCompileCost:
     """Simulated duration of one per-signature compile.
 
-    Models a per-shape specializing JIT: a fixed front-end cost plus a
-    per-kernel codegen cost.  The defaults land in the hundreds of
-    milliseconds for the bench models — the scale at which the paper's
-    compilation-stall problem actually bites.
+    Models a per-shape specializing JIT — a baseline, not DISC's path:
+    a fixed front-end cost plus a per-kernel codegen cost.  The defaults
+    land in the hundreds of milliseconds for the bench models — the
+    scale at which the paper's compilation-stall problem actually bites.
+    Passing one as ``ServingOptions.compile_cost`` selects that
+    baseline; the default None compiles once.
     """
 
     fixed_us: float = 200_000.0
@@ -134,7 +141,7 @@ class BackgroundCompilePool:
         return self._records.get(key)
 
     def quarantined_keys(self) -> set:
-        """Every key the pool has pinned to the fallback path."""
+        """Every key whose jobs the pool has given up on."""
         return {key for key, record in self._records.items()
                 if record.state is CompileState.QUARANTINED}
 

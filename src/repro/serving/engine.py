@@ -11,9 +11,16 @@ request lifecycle (see internals.md §10):
 
   - warm signature → the :class:`ExecutionEngine` launch-plan replay
     path (fast);
-  - cold signature → answered on the eager fallback *now*, while
-    the background pool compiles the launch plan (submit or coalesce);
-    a quarantined signature skips the pool and stays on the fallback;
+  - cold signature, compile-once (``compile_cost=None``, the default
+    and DISC's path) → the shape-generic executable runs *now*: its
+    first call records, freezes and installs the heuristic launch plan
+    (fast).  With a tuner, the background pool then searches the
+    signature's schedules and upgrades the plan in place;
+  - cold signature under an explicit per-shape compile cost (the
+    per-shape-JIT baseline) → answered on the eager fallback *now*,
+    while the background pool compiles the launch plan (submit or
+    coalesce); a quarantined signature skips the pool and stays on the
+    fallback;
   - cold with ``background_compile=False`` → the synchronous-compile
     baseline E16 measures against: the server stalls for the compile,
     then serves the (now warm) plan;
@@ -24,8 +31,9 @@ request lifecycle (see internals.md §10):
 Every response that carries outputs is bit-identical to a direct
 single-threaded ``ExecutionEngine`` run of the same request, whichever
 path served it.  Compile faults — injected or real — retry with backoff
-and at worst quarantine a signature to the fallback; they are invisible
-in the response stream.
+and at worst quarantine a key: under the per-shape JIT its signature
+stays on the fallback, under compile-once it only loses its tuning.
+They are invisible in the response stream.
 """
 
 from __future__ import annotations
@@ -79,18 +87,30 @@ class ServingOptions:
     #: first retry delay; grows by ``backoff_multiplier`` per attempt.
     compile_backoff_us: float = 50_000.0
     backoff_multiplier: float = 2.0
-    #: False = synchronous-compile baseline (cold signatures stall).
+    #: False = synchronous-compile baseline (cold signatures stall);
+    #: it needs a per-shape ``compile_cost``.
     background_compile: bool = True
-    compile_cost: SignatureCompileCost = field(
-        default_factory=SignatureCompileCost)
+    #: None = compile once (DISC's path): the executable is
+    #: shape-generic, so a cold signature's first run freezes its plan
+    #: inline, charged what the generic engine charges, and the pool
+    #: runs tuning jobs only.  A :class:`SignatureCompileCost` selects
+    #: the per-shape-JIT baseline: every new ``(model, signature)``
+    #: waits for a compile of that duration on the eager fallback.
+    compile_cost: SignatureCompileCost | None = None
     engine: EngineOptions = field(default_factory=EngineOptions)
     #: budgeted background schedule autotuning (None = heuristics only).
-    #: When set, every background compile job additionally runs the
-    #: schedule search for its signature — sized into the job's duration
-    #: as ``min(budget_us, tuner.estimate_cost_us(model))`` — and
-    #: freezes the winners into the launch plan, so the fast path
-    #: replays tuned picks at zero extra cost.
+    #: When set, every background job additionally runs the schedule
+    #: search for its signature — sized into the job's duration as
+    #: ``min(budget_us, tuner.estimate_cost_us(model))`` — and freezes
+    #: the winners into the launch plan, so the fast path replays tuned
+    #: picks at zero extra cost.
     tuning: TuningOptions | None = None
+
+    def __post_init__(self) -> None:
+        if not self.background_compile and self.compile_cost is None:
+            raise ValueError("background_compile=False is the "
+                             "synchronous-compile baseline; it needs a "
+                             "per-shape compile_cost")
 
 
 @dataclass
@@ -139,10 +159,6 @@ class Ticket:
         self.request = request
         self.response: Response | None = None
 
-    @property
-    def done(self) -> bool:
-        return self.response is not None
-
 
 class _ModelEntry:
     __slots__ = ("name", "executable", "engine", "fallback",
@@ -155,9 +171,11 @@ class _ModelEntry:
         self.executable = executable
         self.engine = engine
         self.fallback = fallback
+        #: per-shape compile time of each background job (0 under
+        #: compile-once, whose jobs only tune).
         self.compile_duration_us = compile_duration_us
         #: per-signature schedule-search time added to each background
-        #: compile job: ``min(budget, static search-cost bound)``.
+        #: job: ``min(budget, static search-cost bound)``.
         self.tuning_duration_us = tuning_duration_us
 
 
@@ -168,9 +186,9 @@ class PathRouter:
     live behind separable seams — *admission* (``submit``: shed + deadline
     decisions, always per request), *scheduling* (``_dispatch_next`` /
     ``_complete``: the single simulated device server), and *routing*
-    (this class: warm plan / fallback / sync-compile / quarantine).  The
-    batching engine reuses admission and scheduling unchanged and adds
-    its own batched route in front of this one.
+    (this class: warm plan / cold record / fallback / sync-compile /
+    quarantine).  The batching engine reuses admission and scheduling
+    unchanged and adds its own batched route in front of this one.
 
     ``route`` returns ``(path, outputs, stats, service_us)``.
     """
@@ -184,12 +202,20 @@ class PathRouter:
         key = (request.model, request.signature)
         tracer = engine.tracer
         plan = entry.engine.peek_plan(request.signature)
-        if plan is not None:
+        # Compile once: a cold signature's first run records, freezes and
+        # installs its heuristic plan, charged what a warm replay is.  A
+        # key the pool quarantined has only lost its tuning, so this
+        # comes before the quarantine check.
+        if plan is not None or engine.options.compile_cost is None:
             if tracer.enabled:
                 tracer.event("serving:route", path="fast")
-            if plan.tuned:
+            if plan is not None and plan.tuned:
                 engine.counters["tuned_served"] += 1
-            outputs, stats = entry.engine.run(request.inputs)
+            outputs, stats = entry.engine.run(request.inputs,
+                                              request.signature)
+            if plan is None and engine.tuner is not None \
+                    and key not in engine._tuning_quarantined:
+                self.ensure_compile(entry, request, key)
             return "fast", outputs, stats, stats.total_time_us
 
         if engine.pool.state(key) is CompileState.QUARANTINED:
@@ -235,14 +261,17 @@ class PathRouter:
 
     def ensure_compile(self, entry: _ModelEntry, request: Request,
                        key: tuple) -> None:
-        """Submit (or coalesce onto) the background compile for ``key``.
+        """Submit (or coalesce onto) the background job for ``key``.
 
         With tuning enabled the job also runs the budgeted schedule
         search and freezes its winners into the plan; the job's duration
-        is sized up by the model's bounded tuning time.  A tuner fault
-        never loses the signature: the search is abandoned, the key is
-        tuning-quarantined, and the job completes with the heuristic
-        plan — only compile faults reach the pool's retry machinery.
+        is sized up by the model's bounded tuning time.  Under
+        compile-once the job *only* tunes: its compile duration is 0 and
+        the heuristic plan it would install is already there.  A tuner
+        fault never loses the signature: the search is abandoned, the
+        key is tuning-quarantined, and the job completes with the
+        heuristic plan — only compile faults reach the pool's retry
+        machinery.
         """
         engine = self.engine
         inputs = request.inputs
@@ -380,8 +409,9 @@ class ServingEngine:
                                  shared_plans=shared_plans)
         if fallback is None:
             fallback = EagerFallback(executable, self.device)
-        duration = self.options.compile_cost.duration_us(
-            len(executable.kernels))
+        cost = self.options.compile_cost
+        duration = 0.0 if cost is None \
+            else cost.duration_us(len(executable.kernels))
         tuning_duration = 0.0
         if self.tuner is not None:
             tuning_duration = min(

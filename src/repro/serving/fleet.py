@@ -106,10 +106,6 @@ class FleetTicket:
     def response(self) -> Response | None:
         return self.inner.response
 
-    @property
-    def done(self) -> bool:
-        return self.response is not None
-
 
 class _Replica:
     """One serving engine plus its fleet-side lifecycle state."""
@@ -415,9 +411,6 @@ class FleetEngine:
                  format_signature(response.signature))))
         merged.sort(key=lambda item: (item[0], item[1], item[2]))
         return tuple(event for _, _, event in merged)
-
-    def responses(self) -> list[Response]:
-        return [t.response for t in self.tickets if t.response is not None]
 
     def stats(self) -> dict:
         """Fleet counters plus per-replica stats.
